@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ChartConfig, load_config
-from .cvdist import ProcessModel, cv2_pdf
+from .cvdist import ProcessModel, cv2_pdf, moments_for_gamma
 from .design import (
     ChartDesign,
     ShiftRange,
@@ -155,17 +155,9 @@ def _designs(cfg: ChartConfig, profile: str) -> list[ChartDesign]:
     for rule in cfg.rules:
         label = f"{rule.r}of{rule.s}-{rule.direction.value}"
         if label in cfg.limits:
-            from .cvdist import moments_for_gamma
-
             gamma_star = observed_cv_incontrol(cfg.process.gamma0, cfg.measurement_error)
             moments = moments_for_gamma(gamma_star, cfg.process.n)
-            limit = cfg.limits[label]
-            k = (
-                (moments.mean - limit) / moments.std
-                if rule.direction is Direction.LOWER
-                else (limit - moments.mean) / moments.std
-            )
-            out.append(ChartDesign(rule=rule, k=k, limit=limit, arl0_target=cfg.arl0, moments=moments))
+            out.append(ChartDesign.from_limit(rule, cfg.limits[label], moments, cfg.arl0))
         else:
             out.append(solve_design(rule, cfg.process, cfg.measurement_error, cfg.arl0, profile=profile))
     return out
@@ -331,6 +323,19 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             shew = RunRule(1, 1, direction)
             designs.append(solve_design(shew, cfg.process, cfg.measurement_error, cfg.arl0, profile=args.cdf))
     traces = monitor(records, designs)
+    if args.format == "table":
+        summary = [
+            {
+                "rule": f"{t.rule_r}-of-{t.rule_s}",
+                "direction": t.direction.value,
+                "limit": t.limit,
+                "first_signal": t.first_signal,
+                "run_start": t.run_start,
+            }
+            for t in traces
+        ]
+        _emit(summary, ("rule", "direction", "limit", "first_signal", "run_start"), args)
+        return EXIT_OK
     rows = []
     for trace in traces:
         for rec, out in zip(records, trace.outside):
@@ -346,20 +351,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                     "run_start": trace.run_start,
                 }
             )
-    summary = [
-        {
-            "rule": f"{t.rule_r}-of-{t.rule_s}",
-            "direction": t.direction.value,
-            "limit": t.limit,
-            "first_signal": t.first_signal,
-            "run_start": t.run_start,
-        }
-        for t in traces
-    ]
-    if args.format == "table":
-        _emit(summary, ("rule", "direction", "limit", "first_signal", "run_start"), args)
-    else:
-        _emit(rows, ("rule", "direction", "limit", "index", "cv2", "outside", "first_signal", "run_start"), args)
+    _emit(rows, ("rule", "direction", "limit", "index", "cv2", "outside", "first_signal", "run_start"), args)
     return EXIT_OK
 
 

@@ -64,25 +64,19 @@ def parse_config(doc: Mapping) -> ChartConfig:
     _check_keys(proc, _PROCESS_KEYS, "process")
     if not _PROCESS_KEYS.issubset(proc):
         raise ConfigError(f"process: needs keys {sorted(_PROCESS_KEYS)}")
-    n_raw = proc["n"]
-    if not isinstance(n_raw, int) or isinstance(n_raw, bool):
-        raise ConfigError(f"process.n: expected an integer, got {n_raw!r}")
     try:
-        process = ProcessModel(gamma0=_require_finite(proc["gamma0"], "process.gamma0"), n=n_raw)
+        process = ProcessModel(gamma0=_require_finite(proc["gamma0"], "process.gamma0"), n=proc["n"])
     except DomainError as exc:
         raise ConfigError(f"process: {exc}") from exc
 
     me_doc = doc.get("measurement_error", {})
     _check_keys(me_doc, _ME_KEYS, "measurement_error")
-    m_raw = me_doc.get("m", 1)
-    if not isinstance(m_raw, int) or isinstance(m_raw, bool):
-        raise ConfigError(f"measurement_error.m: expected an integer, got {m_raw!r}")
     try:
         me = MeasurementErrorModel(
             theta=_require_finite(me_doc.get("theta", 0.0), "measurement_error.theta"),
             eta=_require_finite(me_doc.get("eta", 0.0), "measurement_error.eta"),
             slope=_require_finite(me_doc.get("B", 1.0), "measurement_error.B"),
-            reps=m_raw,
+            reps=me_doc.get("m", 1),
         )
     except DomainError as exc:
         raise ConfigError(f"measurement_error: {exc}") from exc
@@ -95,8 +89,6 @@ def parse_config(doc: Mapping) -> ChartConfig:
         _check_keys(rd, _RULE_KEYS, f"rules[{i}]")
         if not _RULE_KEYS.issubset(rd):
             raise ConfigError(f"rules[{i}]: needs keys {sorted(_RULE_KEYS)}")
-        if not isinstance(rd["r"], int) or not isinstance(rd["s"], int):
-            raise ConfigError(f"rules[{i}]: r and s must be integers")
         try:
             rules.append(RunRule(r=rd["r"], s=rd["s"], direction=Direction(rd["direction"])))
         except (ValueError, DomainError) as exc:

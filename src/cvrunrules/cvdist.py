@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 from . import specfun
-from .errors import DomainError, GammaDomainError
+from .errors import DomainError, GammaDomainError, as_integer
 from .specfun import NoncentralParams
 
 __all__ = [
@@ -50,11 +50,6 @@ def _check_gamma(gamma: float, force: bool) -> None:
         )
 
 
-def _check_n(n: int) -> None:
-    if not (isinstance(n, (int,)) and n >= 2):
-        raise DomainError(f"subgroup size n must be an integer >= 2, got {n}")
-
-
 def _f_params(n: int, gamma: float) -> NoncentralParams:
     return NoncentralParams(1.0, float(n - 1), n / (gamma * gamma))
 
@@ -67,7 +62,7 @@ class ProcessModel:
     n: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        object.__setattr__(self, "n", as_integer(self.n, "subgroup size n", 2))
         _check_gamma(self.gamma0, force=False)
 
 
@@ -85,7 +80,7 @@ class Cv2Moments:
 
 def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     """P(sample CV <= x) for x > 0."""
-    _check_n(n)
+    as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
@@ -94,7 +89,7 @@ def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
 
 def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str = "exact") -> float:
     """P(squared sample CV <= x); returns 0 for x <= 0."""
-    _check_n(n)
+    as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if profile not in _PROFILES:
         raise DomainError(f"unknown profile {profile!r}, expected one of {_PROFILES}")
@@ -108,7 +103,7 @@ def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str
 
 def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     """Density of the squared sample CV at x > 0."""
-    _check_n(n)
+    as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
@@ -118,7 +113,7 @@ def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
 def moments_for_gamma(gamma: float, n: int, *, force: bool = False) -> Cv2Moments:
     """Second-moment approximation of the squared sample CV at an
     arbitrary CV level (bias-corrected mean, matched variance)."""
-    _check_n(n)
+    as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     g2 = gamma * gamma
     mean = g2 * (1.0 - 3.0 * g2 / n)

@@ -56,15 +56,18 @@ class ChartDesign:
     moments: Cv2Moments
 
     def __post_init__(self) -> None:
-        expected = (
-            self.moments.mean - self.k * self.moments.std
-            if self.rule.direction is Direction.LOWER
-            else self.moments.mean + self.k * self.moments.std
-        )
+        expected = _limit_for(self.k, self.rule.direction, self.moments)
         if abs(expected - self.limit) > 1e-9 * max(1.0, abs(self.limit)):
             raise DomainError(f"limit {self.limit} does not match k={self.k} and the moments")
         if self.rule.direction is Direction.LOWER and self.limit <= 0.0:
             raise DomainError(f"lower control limit must be positive, got {self.limit}")
+
+    @classmethod
+    def from_limit(cls, rule: RunRule, limit: float, moments: Cv2Moments, arl0: float) -> "ChartDesign":
+        """A chart with a given control limit; k is recovered from the moments."""
+        sign = -1.0 if rule.direction is Direction.LOWER else 1.0
+        k = sign * (limit - moments.mean) / moments.std
+        return cls(rule=rule, k=k, limit=limit, arl0_target=arl0, moments=moments)
 
 
 @dataclass(frozen=True)

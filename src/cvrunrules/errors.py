@@ -5,6 +5,8 @@ callers (and the CLI exit-code mapping) can distinguish bad inputs from
 numerical breakdown from infeasible chart designs.
 """
 
+import numbers
+
 
 class CvRunRulesError(Exception):
     """Base class for all package errors."""
@@ -38,3 +40,10 @@ class UnattainableDesignError(CvRunRulesError):
 
 class ConfigError(CvRunRulesError, ValueError):
     """A configuration document violates the schema."""
+
+
+def as_integer(value: object, name: str, minimum: int) -> int:
+    """``value`` as an int; any integral type but bool is accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -5,7 +5,8 @@ linear covariate measurement error, per-item averaging of repeated
 measurements, squared sample CV, run-rule state tracking - and estimates
 run-length metrics empirically.  Nothing here reuses the analytic
 distribution code, so agreement between this module and the exact Markov
-results cross-validates both.
+results cross-validates both; only the run-rule states come from the
+integer tables of ``runrules.rule_automaton``.
 
 Replications are split into fixed-size chunks, each driven by its own
 counter-based Philox stream keyed on (seed, chunk index).  Estimates are
@@ -23,9 +24,9 @@ import numpy as np
 
 from .cvdist import ProcessModel
 from .design import ChartDesign
-from .errors import DomainError
+from .errors import DomainError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
-from .runrules import Direction, RunLengthMethod, RunLengthMetrics, RunRule
+from .runrules import Direction, RunLengthMethod, RunLengthMetrics, rule_automaton
 
 __all__ = ["SimConfig", "simulate_subgroup", "simulate_subgroups", "estimate_run_length"]
 
@@ -47,12 +48,11 @@ class SimConfig:
     max_run_length: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.replications, int) and self.replications >= 1):
-            raise DomainError(f"replications must be an integer >= 1, got {self.replications}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        object.__setattr__(self, "replications", as_integer(self.replications, "replications", 1))
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed", 0))
+        if self.seed >= 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        if not self.max_run_length >= 1:
-            raise DomainError("max_run_length must be >= 1")
+        object.__setattr__(self, "max_run_length", as_integer(self.max_run_length, "max_run_length", 1))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -112,24 +112,6 @@ def simulate_subgroup(
     return float(simulate_subgroups(1, n, gamma0, shift, me, rng)[0])
 
 
-def _rule_tables(rule: RunRule) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integer transition tables: next-state on inside / outside points;
-    outside transitions of -1 absorb."""
-    width = rule.s - 1
-    states = [tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in range(2**width)]
-    states = sorted((h for h in states if sum(h) <= rule.r - 1), reverse=True)
-    index = {h: i for i, h in enumerate(states)}
-    t_in = np.empty(len(states), dtype=np.int64)
-    t_out = np.empty(len(states), dtype=np.int64)
-    for i, hist in enumerate(states):
-        t_in[i] = index[hist[1:] + (0,)] if rule.s > 1 else i
-        if sum(hist) + 1 >= rule.r:
-            t_out[i] = -1
-        else:
-            t_out[i] = index[hist[1:] + (1,)] if rule.s > 1 else i
-    return t_in, t_out, len(states) - 1
-
-
 def estimate_run_length(
     design: ChartDesign,
     pm: ProcessModel,
@@ -144,7 +126,7 @@ def estimate_run_length(
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
-    t_in, t_out, init = _rule_tables(design.rule)
+    automaton = rule_automaton(design.rule.r, design.rule.s)
     upper = design.rule.direction is Direction.UPPER
 
     total = 0.0
@@ -155,7 +137,7 @@ def estimate_run_length(
     for chunk_index in range(n_chunks):
         size = min(_CHUNK, cfg.replications - chunk_index * _CHUNK)
         rng = _chunk_rng(cfg.seed, chunk_index)
-        state = np.full(size, init, dtype=np.int64)
+        state = np.full(size, automaton.initial_index, dtype=np.int64)
         alive = np.arange(size)
         lengths = np.zeros(size, dtype=np.int64)
         step = 0
@@ -168,7 +150,7 @@ def estimate_run_length(
             g2 = simulate_subgroups(alive.size, pm.n, pm.gamma0, shift, me, rng)
             outside = g2 > design.limit if upper else g2 < design.limit
             current = state[alive]
-            nxt = np.where(outside, t_out[current], t_in[current])
+            nxt = np.where(outside, automaton.t_out[current], automaton.t_in[current])
             absorbed = nxt < 0
             lengths[alive[absorbed]] = step
             keep = ~absorbed

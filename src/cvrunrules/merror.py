@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .cvdist import cv2_cdf
-from .errors import DomainError
+from .errors import DomainError, as_integer
 
 __all__ = [
     "MeasurementErrorModel",
@@ -55,8 +55,7 @@ class MeasurementErrorModel:
             raise DomainError(f"eta must be >= 0, got {self.eta}")
         if not self.slope > 0:
             raise DomainError(f"slope must be > 0, got {self.slope}")
-        if not (isinstance(self.reps, int) and self.reps >= 1):
-            raise DomainError(f"reps must be an integer >= 1, got {self.reps}")
+        object.__setattr__(self, "reps", as_integer(self.reps, "reps", 1))
 
     @classmethod
     def identity(cls) -> "MeasurementErrorModel":

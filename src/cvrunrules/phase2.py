@@ -4,22 +4,23 @@ Input records carry the subgroup index, observed sample mean and sample
 standard deviation; the plotted statistic (squared sample CV) is always
 recomputed from mean and std rather than trusted from the file.
 
-Signal semantics follow the chart's Markov chain exactly: the chart
-signals at the first sample where the trailing window of s points holds
-at least r violations.  The report also carries the start of the
-consecutive violation run active at the signal, which is how such alarms
-are usually narrated.
+Each chart walks the chain's own automaton (``runrules.rule_automaton``),
+so it signals at the first sample where the trailing window of s points
+holds at least r violations; a NaN value is rejected, never read as inside.
+The report also carries the start of the consecutive violation run active
+at the signal, which is how such alarms are usually narrated.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .design import ChartDesign
 from .errors import ConfigError, DomainError
-from .runrules import Direction
+from .runrules import Direction, RunRule, rule_automaton
 
 __all__ = ["PhaseIIRecord", "MonitorTrace", "read_phase2_csv", "monitor_values", "monitor"]
 
@@ -31,10 +32,10 @@ class PhaseIIRecord:
     sample_std: float
 
     def __post_init__(self) -> None:
-        if self.sample_mean == 0.0:
-            raise DomainError(f"sample mean must be nonzero (record {self.index})")
-        if self.sample_std < 0.0:
-            raise DomainError(f"sample std must be >= 0 (record {self.index})")
+        if self.sample_mean == 0.0 or not math.isfinite(self.sample_mean):
+            raise DomainError(f"sample mean must be finite and nonzero (record {self.index})")
+        if not 0.0 <= self.sample_std < math.inf:
+            raise DomainError(f"sample std must be finite and >= 0 (record {self.index})")
 
     @property
     def cv(self) -> float:
@@ -96,31 +97,36 @@ def monitor_values(
     values: Sequence[float], r: int, s: int, direction: Direction, limit: float
 ) -> MonitorTrace:
     """Run the r-of-s rule over plotted values against one control limit."""
-    direction = Direction(direction)
+    rule = RunRule(r, s, direction)
+    automaton = rule_automaton(rule.r, rule.s)
+    t_in, t_out = automaton.t_in.tolist(), automaton.t_out.tolist()
+    upper = rule.direction is Direction.UPPER
     outside: list[bool] = []
-    states: list[tuple[int, ...]] = []
-    history: tuple[int, ...] = (0,) * (s - 1)
+    visited: list[int] = []
+    state = automaton.initial_index
     first_signal: Optional[int] = None
     run_start: Optional[int] = None
     for pos, value in enumerate(values, start=1):
-        out = value > limit if direction is Direction.UPPER else value < limit
+        if math.isnan(value):
+            raise DomainError(f"plotted value {pos} is NaN")
+        out = value > limit if upper else value < limit
         outside.append(out)
         if first_signal is None:
-            if out and sum(history) + 1 >= r:
-                first_signal = pos
-                run_start = pos
+            nxt = t_out[state] if out else t_in[state]
+            if nxt < 0:
+                first_signal = run_start = pos
                 while run_start > 1 and outside[run_start - 2]:
                     run_start -= 1
             else:
-                history = (history + ((1 if out else 0),))[1:] if s > 1 else ()
-        states.append(history)
+                state = nxt
+        visited.append(state)
     return MonitorTrace(
-        rule_r=r,
-        rule_s=s,
-        direction=direction,
+        rule_r=rule.r,
+        rule_s=rule.s,
+        direction=rule.direction,
         limit=limit,
         outside=tuple(outside),
-        states=tuple(states),
+        states=tuple(automaton.states[i] for i in visited),
         first_signal=first_signal,
         run_start=run_start,
     )

@@ -5,7 +5,9 @@ fall outside the control limit.  The transient states are the binary
 histories of the last s-1 points that contain at most r-1 violations;
 a new inside point (probability p) shifts the history, a new outside
 point either absorbs (if the trailing s-window now holds r violations)
-or shifts the history with a violation appended.
+or shifts the history with a violation appended.  ``rule_automaton`` is
+the one encoding of these histories; the chain, the Monte Carlo oracle
+and phase-II monitoring all index its next-state tables.
 
 States are ordered by descending history value (oldest point most
 significant), which puts the all-inside history last; the initial
@@ -19,6 +21,7 @@ dense solves against the fundamental matrix:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,14 +29,16 @@ from typing import Optional
 import numpy as np
 
 from .cvdist import cv2_cdf
-from .errors import ChainSingularError, DomainError
+from .errors import ChainSingularError, DomainError, as_integer
 
 __all__ = [
     "Direction",
     "RunRule",
+    "RuleAutomaton",
     "RuleChain",
     "RunLengthMethod",
     "RunLengthMetrics",
+    "rule_automaton",
     "build_chain",
     "in_control_prob",
     "arl",
@@ -62,8 +67,8 @@ class RunRule:
     direction: Direction
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.r, int) and isinstance(self.s, int)):
-            raise DomainError("r and s must be integers")
+        object.__setattr__(self, "r", as_integer(self.r, "r", 1))
+        object.__setattr__(self, "s", as_integer(self.s, "s", 1))
         if not (1 <= self.r <= self.s):
             raise DomainError(f"need 1 <= r <= s, got r={self.r}, s={self.s}")
         object.__setattr__(self, "direction", Direction(self.direction))
@@ -73,12 +78,31 @@ class RunRule:
         return f"{self.r}-of-{self.s} {self.direction.value}"
 
 
-def _states(r: int, s: int) -> list[tuple[int, ...]]:
+@dataclass(frozen=True)
+class RuleAutomaton:
+    """History states of an r-of-s rule and their read-only next-state tables."""
+
+    states: tuple[tuple[int, ...], ...]  # bit tuples, oldest first, 1 = violation
+    t_in: np.ndarray  # next state after an inside point
+    t_out: np.ndarray  # next state after an outside point; -1 absorbs
+    initial_index: int  # the all-inside history
+
+
+@functools.lru_cache
+def rule_automaton(r: int, s: int) -> RuleAutomaton:
+    """The automaton of the r-of-s rule, built once per (r, s)."""
     width = s - 1
-    all_hist = [tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in range(2**width)]
-    feasible = [h for h in all_hist if sum(h) <= r - 1]
-    feasible.sort(reverse=True)
-    return feasible
+    mask = (1 << width) - 1
+    values = [v for v in range(mask, -1, -1) if bin(v).count("1") < r]
+    index = {v: i for i, v in enumerate(values)}
+    t_in = np.array([index[(v << 1) & mask] for v in values], dtype=np.int64)
+    t_out = np.array(
+        [-1 if bin(v).count("1") + 1 >= r else index[((v << 1) | 1) & mask] for v in values],
+        dtype=np.int64,
+    )
+    t_in.flags.writeable = t_out.flags.writeable = False
+    states = tuple(tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in values)
+    return RuleAutomaton(states=states, t_in=t_in, t_out=t_out, initial_index=len(values) - 1)
 
 
 @dataclass(frozen=True)
@@ -102,23 +126,18 @@ def build_chain(rule: RunRule, p: float) -> RuleChain:
     probability p."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    states = _states(rule.r, rule.s)
-    index = {h: i for i, h in enumerate(states)}
-    m = len(states)
-    q_matrix = np.zeros((m, m))
-    for i, hist in enumerate(states):
-        inside_next = hist[1:] + (0,) if rule.s > 1 else ()
-        q_matrix[i, index[inside_next]] += p
-        if sum(hist) + 1 < rule.r:
-            outside_next = hist[1:] + (1,) if rule.s > 1 else ()
-            q_matrix[i, index[outside_next]] += 1.0 - p
-        # else: an outside point completes r violations in the window -> absorb
+    automaton = rule_automaton(rule.r, rule.s)
+    rows = np.arange(len(automaton.states))
+    q_matrix = np.zeros((rows.size, rows.size))
+    q_matrix[rows, automaton.t_in] = p
+    stays = automaton.t_out >= 0  # an outside point completing r violations absorbs
+    q_matrix[rows[stays], automaton.t_out[stays]] = 1.0 - p
     return RuleChain(
         rule=rule,
         p=p,
-        states=tuple(states),
+        states=automaton.states,
         transition=q_matrix,
-        initial_index=m - 1,
+        initial_index=automaton.initial_index,
     )
 
 

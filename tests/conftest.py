@@ -17,7 +17,7 @@ def record_criterion(name: str, passed: bool, detail: str = "", expected_failure
     if passed:
         verdict = "PASS"
     elif expected_failure:
-        verdict = "FAIL (expected, see decisions ledger)"
+        verdict = "FAIL (expected, see the test's xfail reason)"
     else:
         verdict = "FAIL"
     line = f"{name}: {verdict}"

@@ -6,10 +6,11 @@ which matches the numerics of the software behind the published values;
 the Monte Carlo equivalence criterion runs the exact kernel, which is
 what the simulated pipeline actually follows.
 
-Three sub-criteria are strict expected failures (xfail) because the
+Five sub-criteria are strict expected failures (xfail) because the
 published values themselves cannot be produced by the model; each case
-is documented in the decisions ledger:
+is documented in its xfail reason:
   * seven ME-table entries in the eta = 0.5 column,
+  * the quoted m-flatness bound of the ME tables,
   * the four EARL spot values (no chart variant reproduces all four),
   * the 3-of-4 and 4-of-5 first-signal indices of the worked example
     (the recorded series violates those limits at sample 10, so the
@@ -194,7 +195,7 @@ def test_c4_me_tables_reconciled(table_name, table):
     strict=True,
     reason="seven printed values in the eta = 0.5 column deviate 0.005-0.18 "
     "from the legacy-profile model and no evaluation variant reproduces "
-    "them; see decisions ledger",
+    "them",
 )
 def test_c4_me_tables_strict():
     """Criterion as stated: every ME-table triple within +-0.005."""
@@ -241,7 +242,7 @@ def test_c4_named_spot_values():
     strict=True,
     reason="the 0.1 flatness bound does not hold: the published m-grid "
     "itself carries gaps up to 0.30 (92.53 vs 92.23) and the exact model "
-    "reaches 0.146 at the gamma0=0.2 corner; see decisions ledger",
+    "reaches 0.146 at the gamma0=0.2 corner",
 )
 def test_c4_m_flatness():
     """Quoted property: |ARL(m=10) - ARL(m=1)| < 0.1 across the m-grid."""
@@ -268,7 +269,7 @@ def test_c4_m_flatness():
     reason="no (rule, direction) variant reproduces all four published EARL "
     "spot values within +-0.5 under the Gauss-Legendre definition; the "
     "figures they come from were evidently produced by a separate "
-    "pipeline; see decisions ledger",
+    "pipeline",
 )
 def test_c5_earl_spot_values():
     """At least one chart variant matches all four EARL spots within 0.5."""
@@ -333,7 +334,7 @@ def test_c6_monitor_first_signal_2of3():
 @pytest.mark.xfail(
     strict=True,
     reason="the recorded series also violates the 3-of-4 limit at sample 10, "
-    "so the window rule signals at 13, not the quoted 14; see ledger",
+    "so the window rule signals at 13, not the quoted 14",
 )
 def test_c6_monitor_first_signal_3of4():
     trace = monitor_values(_example_series(), 3, 4, Direction.UPPER, EXAMPLE_UCL[(3, 4)])
@@ -350,7 +351,7 @@ def test_c6_monitor_first_signal_3of4():
 @pytest.mark.xfail(
     strict=True,
     reason="the recorded series also violates the 4-of-5 limit at sample 10, "
-    "so the window rule signals at 14, not the quoted 15; see ledger",
+    "so the window rule signals at 14, not the quoted 15",
 )
 def test_c6_monitor_first_signal_4of5():
     trace = monitor_values(_example_series(), 4, 5, Direction.UPPER, EXAMPLE_UCL[(4, 5)])

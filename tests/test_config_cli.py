@@ -163,10 +163,16 @@ class TestCli:
                          "--format", "csv", "--output", str(out), "--cdf", "cdflib"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_monitor_rejects_zero_mean(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row",
+        ["1,0.0,1.0", "1,nan,1.0", "1,inf,1.0", "1,1.0,nan", "1,1.0,inf"],
+        ids=["zero-mean", "nan-mean", "inf-mean", "nan-std", "inf-std"],
+    )
+    def test_monitor_rejects_zero_mean(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
-        bad.write_text("index,mean,std\n1,0.0,1.0\n")
+        bad.write_text(f"index,mean,std\n{row}\n")
         assert main(["monitor", "--config", EXAMPLE_CONFIG, str(bad)]) == 2
+        assert ":2: bad record" in capsys.readouterr().err
 
     def test_simulate_seed_repeatable(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

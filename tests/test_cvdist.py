@@ -42,6 +42,11 @@ class TestProcessModel:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             ProcessModel(0.1, 1)
+        with pytest.raises(DomainError):
+            ProcessModel(0.1, True)
+        with pytest.raises(DomainError):
+            ProcessModel(0.1, 5.0)
+        assert type(ProcessModel(0.1, np.int64(5)).n) is int
 
 
 class TestCvCdf:

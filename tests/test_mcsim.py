@@ -26,6 +26,16 @@ class TestSimConfig:
             SimConfig(replications=10, seed=-1)
         with pytest.raises(DomainError):
             SimConfig(replications=10, seed=1, max_run_length=0)
+        with pytest.raises(DomainError):
+            SimConfig(replications=True, seed=1)
+        with pytest.raises(DomainError):
+            SimConfig(replications=10, seed=True)
+        with pytest.raises(DomainError):
+            SimConfig(replications=10.0, seed=1)
+        with pytest.raises(DomainError):
+            SimConfig(replications=10, seed=1, max_run_length=2.5)
+        cfg = SimConfig(replications=np.int64(10), seed=np.uint64(2**63))
+        assert (type(cfg.replications), type(cfg.seed)) == (int, int)
 
 
 class TestSimulateSubgroup:

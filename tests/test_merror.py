@@ -32,6 +32,11 @@ class TestModelValidation:
             MeasurementErrorModel(slope=0.0)
         with pytest.raises(DomainError):
             MeasurementErrorModel(reps=0)
+        with pytest.raises(DomainError):
+            MeasurementErrorModel(reps=True)
+        with pytest.raises(DomainError):
+            MeasurementErrorModel(reps=2.0)
+        assert type(MeasurementErrorModel(reps=np.int64(2)).reps) is int
 
 
 class TestObservedCv:

@@ -1,5 +1,6 @@
 """Phase-II monitoring tests against the worked-example dataset."""
 
+import numpy as np
 import pytest
 
 from cvrunrules.errors import ConfigError, DomainError
@@ -29,9 +30,20 @@ class TestRecords:
         assert rec.cv == pytest.approx(0.525, abs=5e-4)
         assert rec.cv2 == pytest.approx(rec.cv**2)
 
-    def test_zero_mean_rejected(self):
+    @pytest.mark.parametrize(
+        "mean,std",
+        [
+            pytest.param(0.0, 1.0, id="zero-mean"),
+            pytest.param(float("nan"), 1.0, id="nan-mean"),
+            pytest.param(float("inf"), 1.0, id="inf-mean"),
+            pytest.param(1.0, float("nan"), id="nan-std"),
+            pytest.param(1.0, float("inf"), id="inf-std"),
+        ],
+    )
+    def test_zero_mean_rejected(self, mean, std):
+        # a NaN CV^2 would count as inside the limit and never signal
         with pytest.raises(DomainError):
-            PhaseIIRecord(3, 0.0, 1.0)
+            PhaseIIRecord(3, mean, std)
 
     def test_printed_cv_column_matches_recomputation(self):
         # input-pipeline check: 19 of 20 printed CVs equal std/mean within
@@ -122,3 +134,20 @@ class TestMonitorValues:
         values = [5.0 if i % 4 == 0 else 0.1 for i in range(20)]
         trace = monitor_values(values, 2, 3, Direction.UPPER, 1.0)
         assert trace.first_signal is None
+        # a NaN compares as neither side of the limit: it must not pass as inside
+        with pytest.raises(DomainError):
+            monitor_values(values + [float("nan")], 2, 3, Direction.UPPER, 1.0)
+
+    @pytest.mark.parametrize("r,s", [(r, s) for s in range(1, 11) for r in range(1, s + 1)])
+    def test_automaton_matches_trailing_window(self, r, s):
+        rng = np.random.default_rng(1000 * s + r)
+        for rate in (0.05, 0.2, 0.5, 0.8):
+            for _ in range(5):
+                values = (rng.random(200) < rate).astype(float).tolist()
+                trace = monitor_values(values, r, s, Direction.UPPER, 0.5)
+                assert trace.first_signal == brute_force_first_signal(values, r, s, 0.5)
+                # before the signal the state is the last s-1 violation flags
+                stop = trace.first_signal - 1 if trace.first_signal else len(values)
+                padded = [0] * (s - 1) + [int(v) for v in values]
+                for t in range(stop):
+                    assert trace.states[t] == tuple(padded[t + 1: t + s])

@@ -74,6 +74,12 @@ class TestChainStructure:
             RunRule(0, 2, Direction.UPPER)
         with pytest.raises(DomainError):
             build_chain(RunRule(2, 3, Direction.UPPER), 1.2)
+        with pytest.raises(DomainError):
+            RunRule(True, 1, Direction.UPPER)
+        with pytest.raises(DomainError):
+            RunRule(2.0, 3, Direction.UPPER)
+        rule = RunRule(np.int64(2), np.int64(3), Direction.UPPER)
+        assert rule == RunRule(2, 3, Direction.UPPER) and type(rule.r) is int and type(rule.s) is int
 
 
 class TestArl:
