@@ -150,17 +150,18 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _design_for(cfg: ChartConfig, rule: RunRule, profile: str) -> ChartDesign:
+    """The rule's design: from its preset limit if the config has one, else solved."""
+    label = f"{rule.r}of{rule.s}-{rule.direction.value}"
+    if label in cfg.limits:
+        gamma_star = observed_cv_incontrol(cfg.process.gamma0, cfg.measurement_error)
+        moments = moments_for_gamma(gamma_star, cfg.process.n)
+        return ChartDesign.from_limit(rule, cfg.limits[label], moments, cfg.arl0)
+    return solve_design(rule, cfg.process, cfg.measurement_error, cfg.arl0, profile=profile)
+
+
 def _designs(cfg: ChartConfig, profile: str) -> list[ChartDesign]:
-    out = []
-    for rule in cfg.rules:
-        label = f"{rule.r}of{rule.s}-{rule.direction.value}"
-        if label in cfg.limits:
-            gamma_star = observed_cv_incontrol(cfg.process.gamma0, cfg.measurement_error)
-            moments = moments_for_gamma(gamma_star, cfg.process.n)
-            out.append(ChartDesign.from_limit(rule, cfg.limits[label], moments, cfg.arl0))
-        else:
-            out.append(solve_design(rule, cfg.process, cfg.measurement_error, cfg.arl0, profile=profile))
-    return out
+    return [_design_for(cfg, rule, profile) for rule in cfg.rules]
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
@@ -276,7 +277,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--rule {args.rule!r} is not among the configured rules")
     if args.replications < 1:
         raise ConfigError("--replications must be >= 1")
-    design = next(d for d in _designs(cfg, args.cdf) if d.rule == wanted)
+    design = _design_for(cfg, wanted, args.cdf)
     shift = ShiftSpec.from_tau(args.tau, cfg.process.gamma0, b=args.b)
     sim = SimConfig(replications=args.replications, seed=args.seed, max_run_length=args.max_run_length)
     metrics = estimate_run_length(design, cfg.process, cfg.measurement_error, shift, sim)
@@ -319,7 +320,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     records = read_phase2_csv(args.data)
     designs = _designs(cfg, args.cdf)
     if args.shewhart:
-        for direction in {d.rule.direction for d in designs}:
+        # first-appearance order, so the output does not follow the hash seed
+        for direction in dict.fromkeys(d.rule.direction for d in designs):
             shew = RunRule(1, 1, direction)
             designs.append(solve_design(shew, cfg.process, cfg.measurement_error, cfg.arl0, profile=args.cdf))
     traces = monitor(records, designs)

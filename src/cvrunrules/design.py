@@ -257,11 +257,11 @@ def sweep(
     """
     axes = dict(grid)
     gamma0s = list(axes.pop("gamma0", [0.05]))
-    ns = [int(v) for v in axes.pop("n", [5])]
+    ns = list(axes.pop("n", [5]))
     thetas = list(axes.pop("theta", [0.0]))
     etas = list(axes.pop("eta", [0.0]))
     slopes = list(axes.pop("B", [1.0]))
-    reps = [int(v) for v in axes.pop("m", [1])]
+    reps = list(axes.pop("m", [1]))
     taus = axes.pop("tau", None)
     omegas = axes.pop("omega", None)
     if axes:
@@ -287,9 +287,9 @@ def sweep(
             "B": slope,
             "m": m,
         }
-        me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
         key = (rule, n, gamma0, theta, eta, slope, m, arl0, profile)
         try:
+            me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
             pm = ProcessModel(gamma0=gamma0, n=n)
             if key not in design_cache:
                 design_cache[key] = solve_design(rule, pm, me, arl0, profile=profile)

@@ -11,11 +11,20 @@ and phase-II monitoring all index its next-state tables.
 
 States are ordered by descending history value (oldest point most
 significant), which puts the all-inside history last; the initial
-distribution is the unit mass on that state.  ARL and SDRL follow from
-dense solves against the fundamental matrix:
+distribution is the unit mass on that state.
 
-    ARL  = q^T (I - Q)^{-1} 1
-    SDRL = sqrt(2 q^T (I - Q)^{-2} Q 1 - ARL^2 + ARL)
+Many histories have the same future: 8-of-10 has 502 states but only
+120 classes, 10-of-10 has 512 and 10.  ``rule_automaton`` also holds the
+coarsest partition under which equivalent states absorb on the same input
+and move to equivalent states (Moore refinement of the tables).  The
+chain lumped onto those classes has the same run-length law (Kemeny &
+Snell, *Finite Markov Chains*, 1960, sec. 6.3), so ``arl`` solves on the
+k x k lumped matrix Q_k, q being the unit mass on the all-inside class:
+
+    ARL  = q^T (I - Q_k)^{-1} 1
+    SDRL = sqrt(2 q^T (I - Q_k)^{-2} Q_k 1 - ARL^2 + ARL)
+
+``build_chain`` still returns the full history chain.
 """
 
 from __future__ import annotations
@@ -80,12 +89,30 @@ class RunRule:
 
 @dataclass(frozen=True)
 class RuleAutomaton:
-    """History states of an r-of-s rule and their read-only next-state tables."""
+    """History states of an r-of-s rule, their read-only next-state tables
+    and the coarsest partition of the states into interchangeable classes."""
 
     states: tuple[tuple[int, ...], ...]  # bit tuples, oldest first, 1 = violation
     t_in: np.ndarray  # next state after an inside point
     t_out: np.ndarray  # next state after an outside point; -1 absorbs
     initial_index: int  # the all-inside history
+    block: np.ndarray  # class of each state
+    representatives: np.ndarray  # one state per class, in class order
+
+
+def _partition(t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
+    """Moore refinement: split states by their own class, their inside
+    successor's class and their outside successor's class (-1 absorbs)
+    until no class splits."""
+    block = np.zeros(t_in.size, dtype=np.int64)
+    while True:
+        out_block = np.where(t_out >= 0, block[t_out], -1)
+        signature = np.stack([block, block[t_in], out_block], axis=1)
+        _, refined = np.unique(signature, axis=0, return_inverse=True)
+        refined = refined.reshape(-1).astype(np.int64)
+        if refined.max() == block.max():
+            return refined
+        block = refined
 
 
 @functools.lru_cache
@@ -100,9 +127,19 @@ def rule_automaton(r: int, s: int) -> RuleAutomaton:
         [-1 if bin(v).count("1") + 1 >= r else index[((v << 1) | 1) & mask] for v in values],
         dtype=np.int64,
     )
-    t_in.flags.writeable = t_out.flags.writeable = False
+    block = _partition(t_in, t_out)
+    representatives = np.unique(block, return_index=True)[1].astype(np.int64)
+    for table in (t_in, t_out, block, representatives):
+        table.flags.writeable = False
     states = tuple(tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in values)
-    return RuleAutomaton(states=states, t_in=t_in, t_out=t_out, initial_index=len(values) - 1)
+    return RuleAutomaton(
+        states=states,
+        t_in=t_in,
+        t_out=t_out,
+        initial_index=len(values) - 1,
+        block=block,
+        representatives=representatives,
+    )
 
 
 @dataclass(frozen=True)
@@ -177,26 +214,52 @@ class RunLengthMetrics:
             raise DomainError("exact metrics carry no standard error")
 
 
+@functools.lru_cache
+def _lumping(r: int, s: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Flat positions that lump the r-of-s chain onto its automaton's classes.
+
+    The lumped matrix is k x k: entry (c, d) is the mass the representative
+    of class c sends into class d.  A state moves only to t_in and t_out,
+    whose classes always differ (under an all-outside future the t_out
+    history signals strictly sooner), so flat entry ``dst[i]`` of the
+    lumped matrix is flat entry ``src[i]`` of the full one, with no two
+    ``dst`` alike.  Also returns k and the initial state's class.
+    """
+    automaton = rule_automaton(r, s)
+    reps, block = automaton.representatives, automaton.block
+    k = reps.size
+    stays = automaton.t_out[reps] >= 0
+    rows = np.concatenate([np.arange(k), np.flatnonzero(stays)])
+    successors = np.concatenate([automaton.t_in[reps], automaton.t_out[reps[stays]]])
+    src = reps[rows] * block.size + successors
+    dst = rows * k + block[successors]
+    src.flags.writeable = dst.flags.writeable = False
+    return src, dst, k, int(block[automaton.initial_index])
+
+
 def arl(chain: RuleChain) -> RunLengthMetrics:
-    """Exact ARL and SDRL of the chain.
+    """Exact ARL and SDRL of the chain, solved on its lumped chain.
 
     Raises ChainSingularError when p = 1 (no absorption, infinite run
     length): callers treat that as "limit unreachable", not overflow.
     """
     if chain.p >= _P_SINGULAR:
         raise ChainSingularError(f"no absorption at p={chain.p}; run length is infinite")
-    m = chain.transition.shape[0]
-    a_matrix = np.eye(m) - chain.transition
-    one = np.ones(m)
+    src, dst, k, initial = _lumping(chain.rule.r, chain.rule.s)
+    q_matrix = np.zeros(k * k)
+    q_matrix[dst] = chain.transition.take(src)
+    q_matrix = q_matrix.reshape(k, k)
+    a_matrix = np.eye(k) - q_matrix
+    one = np.ones(k)
     try:
         v = np.linalg.solve(a_matrix, one)
-        w = np.linalg.solve(a_matrix, chain.transition @ one)
+        w = np.linalg.solve(a_matrix, q_matrix @ one)
         z = np.linalg.solve(a_matrix, w)
     except np.linalg.LinAlgError as exc:
         raise ChainSingularError(f"chain solve failed at p={chain.p}: {exc}") from exc
-    mean_rl = float(v[chain.initial_index])
+    mean_rl = float(v[initial])
     if not math.isfinite(mean_rl) or mean_rl < 1.0:
         raise ChainSingularError(f"chain solve lost accuracy at p={chain.p} (ARL={mean_rl})")
-    variance = 2.0 * float(z[chain.initial_index]) - mean_rl * mean_rl + mean_rl
+    variance = 2.0 * float(z[initial]) - mean_rl * mean_rl + mean_rl
     sdrl = math.sqrt(max(variance, 0.0))
     return RunLengthMetrics(arl=mean_rl, sdrl=sdrl, method=RunLengthMethod.EXACT_MARKOV)

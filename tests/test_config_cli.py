@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import cvrunrules
+from cvrunrules import cli
 from cvrunrules.cli import main
 from cvrunrules.config import parse_config
 from cvrunrules.errors import ConfigError
@@ -163,6 +167,29 @@ class TestCli:
                          "--format", "csv", "--output", str(out), "--cdf", "cdflib"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_monitor_shewhart_order_independent_of_hash_seed(self, tmp_path):
+        # Under a set of directions, hash seeds 0 and 2 put the two 1-of-1
+        # rows in opposite orders; they must follow the rules' order.
+        doc = base_config()
+        doc["rules"] = [
+            {"r": 2, "s": 3, "direction": "lower"},
+            {"r": 2, "s": 3, "direction": "upper"},
+        ]
+        path = write_config(tmp_path, doc)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvrunrules.__file__)))
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cvrunrules.cli", "monitor", "--config", path,
+                 EXAMPLE_DATA, "--shewhart", "--cdf", "cdflib"],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        shewhart = [line.split()[1] for line in outputs[0].decode().splitlines() if line.startswith("1-of-1")]
+        assert shewhart == ["lower", "upper"]
+
     @pytest.mark.parametrize(
         "row",
         ["1,0.0,1.0", "1,nan,1.0", "1,inf,1.0", "1,1.0,nan", "1,1.0,inf"],
@@ -186,6 +213,30 @@ class TestCli:
         row = json.loads(first)[0]
         assert row["truncated"] == 0
         assert row["mc_arl"] > 1.0
+
+    def test_simulate_designs_only_the_wanted_rule(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real_solve_design = cli.solve_design
+
+        def counting_solve_design(rule, *args, **kwargs):
+            calls.append(rule)
+            return real_solve_design(rule, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_design", counting_solve_design)
+        args = ["simulate", "--config", EXAMPLE_CONFIG, "--rule", "3,4,upper", "--tau", "1.5",
+                "--replications", "200", "--format", "json", "--cdf", "cdflib"]
+        assert main(args) == 0
+        assert [(rule.r, rule.s) for rule in calls] == [(3, 4)]
+        row = json.loads(capsys.readouterr().out)[0]
+        assert (row["rule"], row["direction"]) == ("3-of-4", "upper")
+        # a preset limit is still honoured, with no solve at all
+        with open(EXAMPLE_CONFIG) as fh:
+            doc = json.load(fh)
+        doc["limits"] = {"3of4-upper": 0.3821}
+        calls.clear()
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--rule", "3,4,upper",
+                     "--replications", "200"]) == 0
+        assert calls == []
 
     def test_simulate_zero_replications_usage_error(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -238,6 +238,18 @@ class TestSweep:
         assert by_gamma[0.45]["error"] is not None
         assert by_gamma[0.45]["arl"] is None
 
+    def test_non_integer_counts_reported_per_cell(self):
+        rows = sweep([rule(2, 3, "upper")], {"n": [5.7, 5], "m": [True, 1], "tau": [1.5]})
+        by_cell = {(row["n"], type(row["m"]).__name__): row for row in rows}
+        assert len(by_cell) == 4
+        for (n, m_type), row in by_cell.items():
+            if n == 5 and m_type == "int":
+                assert row["error"] is None and row["arl"] is not None
+            else:
+                assert row["error"] is not None and row["k"] is None and row["arl"] is None
+        assert "subgroup size n" in by_cell[5.7, "int"]["error"]
+        assert "reps" in by_cell[5, "bool"]["error"]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError):
             sweep([rule(2, 3, "upper")], {"bogus": [1], "tau": [1.5]})

@@ -15,9 +15,11 @@ from cvrunrules.runrules import (
     arl,
     build_chain,
     in_control_prob,
+    rule_automaton,
 )
 
 RULES = [(2, 3), (3, 4), (4, 5)]
+ALL_RULES = [(r, s) for s in range(1, 11) for r in range(1, s + 1)]
 
 
 def chain_arl(r, s, p):
@@ -149,6 +151,71 @@ class TestArl:
             lengths[i] = t
         se = lengths.std(ddof=1) / math.sqrt(reps)
         assert abs(lengths.mean() - exact.arl) <= 3 * se
+
+
+class TestLumping:
+    """``arl`` solves on the automaton's quotient; these pin that quotient
+    and compare it with a dense solve on the full history chain."""
+
+    P_GRID = (0.0, 0.37, 0.5, 0.9, 0.95, 0.99, 0.9973, 0.999)
+
+    @pytest.mark.parametrize("r,s", ALL_RULES)
+    def test_block_is_lumping(self, r, s):
+        automaton = rule_automaton(r, s)
+        block = automaton.block
+        k = automaton.representatives.size
+        assert sorted(set(block.tolist())) == list(range(k))
+        assert (block[automaton.representatives] == np.arange(k)).all()
+        out_block = np.where(automaton.t_out >= 0, block[np.maximum(automaton.t_out, 0)], -1)
+        for c in range(k):
+            members = block == c
+            assert len(set(block[automaton.t_in][members].tolist())) == 1
+            assert len(set(out_block[members].tolist())) == 1
+        # arl() writes the two successors' entries without summing them
+        assert (block[automaton.t_in] != out_block).all()
+
+    @pytest.mark.parametrize(
+        "r,s,states,classes",
+        [
+            (8, 10, 502, 120),
+            (7, 9, 247, 84),
+            (5, 8, 99, 70),
+            (4, 9, 93, 84),
+            (3, 10, 46, 45),
+            (4, 5, 15, 10),
+            (3, 4, 7, 6),
+            (2, 3, 3, 3),
+            (10, 10, 512, 10),
+        ],
+    )
+    def test_class_counts(self, r, s, states, classes):
+        automaton = rule_automaton(r, s)
+        assert (len(automaton.states), automaton.representatives.size) == (states, classes)
+
+    @pytest.mark.parametrize("r,s", ALL_RULES)
+    def test_arl_matches_full_chain(self, r, s):
+        # Past ARL ~ 1e9 both solves lose every digit (I - Q is singular to
+        # working precision), so only cells with ARL <= 1e6 are compared.
+        compared = 0
+        for p in self.P_GRID:
+            chain = build_chain(RunRule(r, s, Direction.UPPER), p)
+            m = chain.transition.shape[0]
+            a_matrix = np.eye(m) - chain.transition
+            try:
+                v = np.linalg.solve(a_matrix, np.ones(m))
+                w = np.linalg.solve(a_matrix, chain.transition @ np.ones(m))
+                z = np.linalg.solve(a_matrix, w)
+            except np.linalg.LinAlgError:
+                continue
+            full_arl = v[chain.initial_index]
+            if not 1.0 <= full_arl <= 1e6:
+                continue
+            full_sdrl = math.sqrt(max(2.0 * z[chain.initial_index] - full_arl**2 + full_arl, 0.0))
+            metrics = arl(chain)
+            assert metrics.arl == pytest.approx(full_arl, rel=1e-10)
+            assert metrics.sdrl == pytest.approx(full_sdrl, rel=1e-10, abs=1e-9)
+            compared += 1
+        assert compared >= 1
 
 
 class TestInControlProb:
