@@ -8,6 +8,13 @@ CV when a measurement-error model is present.  The chart constant k is the
 root of ARL(k; tau=1) = ARL0, found by bisection sharpened with secant
 steps inside a fixed bracket; evaluations where the chain loses absorption
 (limit unreachable) count as +infinity, which keeps the search monotone.
+
+Every evaluation (solver objective, ``arl_at_shift``, ``earl``) goes
+through one helper: one CDF call per CV level gives the inside
+probability p, and ``runrules.run_length_metrics`` solves the run-rule
+chain on its lumped matrix filled straight from p, so the full history
+chain is never built.  The 64 EARL nodes are solved as stacked linear
+systems.
 """
 
 from __future__ import annotations
@@ -92,18 +99,22 @@ def _limit_for(k: float, direction: Direction, moments: Cv2Moments) -> float:
     return moments.mean + k * moments.std
 
 
-def _arl_at_limit(
+def _metrics_at_levels(
     limit: float,
     rule: RunRule,
     n: int,
-    gamma_eval: float,
+    gammas: Sequence[float],
     *,
     profile: str,
     force: bool,
-) -> RunLengthMetrics:
-    p = runrules.in_control_prob(rule.direction, limit, n, gamma_eval, force=force, profile=profile)
-    p = min(max(p, 0.0), 1.0)
-    return runrules.arl(runrules.build_chain(rule, p))
+) -> list[RunLengthMetrics]:
+    """Exact run-length metrics of a chart at each observed CV level: one
+    CDF call per level, then one ``run_length_metrics`` call for all."""
+    ps = [
+        min(max(runrules.in_control_prob(rule.direction, limit, n, g, force=force, profile=profile), 0.0), 1.0)
+        for g in gammas
+    ]
+    return runrules.run_length_metrics(rule, ps)
 
 
 def _solve_k(objective: Callable[[float], float], lo: float, hi: float, arl0: float) -> float:
@@ -175,7 +186,7 @@ def solve_design(
     def objective(k: float) -> float:
         limit = _limit_for(k, rule.direction, moments)
         try:
-            metrics = _arl_at_limit(limit, rule, pm.n, gamma_in, profile=profile, force=False)
+            (metrics,) = _metrics_at_levels(limit, rule, pm.n, [gamma_in], profile=profile, force=False)
         except ChainSingularError:
             return math.inf
         return metrics.arl - arl0
@@ -205,7 +216,8 @@ def arl_at_shift(
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
     gamma_eval = merror.observed_cv_shifted(pm.gamma0, shift, me)
-    return _arl_at_limit(design.limit, design.rule, pm.n, gamma_eval, profile=profile, force=True)
+    (metrics,) = _metrics_at_levels(design.limit, design.rule, pm.n, [gamma_eval], profile=profile, force=True)
+    return metrics
 
 
 def earl(
@@ -230,11 +242,14 @@ def earl(
     x, w = np.polynomial.legendre.leggauss(nodes)
     half_width = 0.5 * (shift_range.hi - shift_range.lo)
     mid = 0.5 * (shift_range.hi + shift_range.lo)
+    gammas = [
+        merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(half_width * xi + mid, pm.gamma0, b=b), me)
+        for xi in x
+    ]
+    metrics = _metrics_at_levels(design.limit, design.rule, pm.n, gammas, profile=profile, force=True)
     total = 0.0
-    for xi, wi in zip(x, w):
-        tau = half_width * xi + mid
-        metrics = arl_at_shift(design, pm, me, ShiftSpec.from_tau(tau, pm.gamma0, b=b), profile=profile)
-        total += wi * metrics.arl
+    for wi, m in zip(w, metrics):
+        total += wi * m.arl
     # weights integrate to the interval length; uniform density divides it out
     return total * half_width / (shift_range.hi - shift_range.lo)
 

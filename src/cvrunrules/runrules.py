@@ -24,7 +24,11 @@ k x k lumped matrix Q_k, q being the unit mass on the all-inside class:
     ARL  = q^T (I - Q_k)^{-1} 1
     SDRL = sqrt(2 q^T (I - Q_k)^{-2} Q_k 1 - ARL^2 + ARL)
 
-``build_chain`` still returns the full history chain.
+The lumped matrix depends on p alone (p on the inside edges, 1 - p on
+the outside edges that stay transient), so ``run_length_metrics`` fills
+it straight from p and solves many p at once as stacked systems; ``arl``
+and chart evaluation (``design``) both go through it, and neither builds
+the full history chain that ``build_chain`` still returns.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +59,9 @@ __all__ = [
 
 # p this close to 1 leaves no numerically meaningful absorption mass.
 _P_SINGULAR = 1.0 - 1e-12
+# Entries per stack of lumped matrices (0.5 MB): a whole 64-node EARL for
+# short rules, 4 matrices at a time for 8-of-10 (k = 120).
+_STACK_DOUBLES = 65536
 
 
 class Direction(str, enum.Enum):
@@ -215,15 +222,17 @@ class RunLengthMetrics:
 
 
 @functools.lru_cache
-def _lumping(r: int, s: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Flat positions that lump the r-of-s chain onto its automaton's classes.
+def _lumping(r: int, s: int) -> tuple[np.ndarray, int, int]:
+    """Flat positions of the lumped r-of-s chain on its automaton's classes.
 
     The lumped matrix is k x k: entry (c, d) is the mass the representative
     of class c sends into class d.  A state moves only to t_in and t_out,
     whose classes always differ (under an all-outside future the t_out
-    history signals strictly sooner), so flat entry ``dst[i]`` of the
-    lumped matrix is flat entry ``src[i]`` of the full one, with no two
-    ``dst`` alike.  Also returns k and the initial state's class.
+    history signals strictly sooner), so each edge of a representative
+    fills its own flat entry ``dst[i]``, with no two ``dst`` alike.  The
+    first k positions are the inside edges (mass p), one per class; the
+    rest are the outside edges that stay transient (mass 1 - p).  Also
+    returns k and the initial state's class.
     """
     automaton = rule_automaton(r, s)
     reps, block = automaton.representatives, automaton.block
@@ -231,35 +240,60 @@ def _lumping(r: int, s: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     stays = automaton.t_out[reps] >= 0
     rows = np.concatenate([np.arange(k), np.flatnonzero(stays)])
     successors = np.concatenate([automaton.t_in[reps], automaton.t_out[reps[stays]]])
-    src = reps[rows] * block.size + successors
     dst = rows * k + block[successors]
-    src.flags.writeable = dst.flags.writeable = False
-    return src, dst, k, int(block[automaton.initial_index])
+    dst.flags.writeable = False
+    return dst, k, int(block[automaton.initial_index])
 
 
 def arl(chain: RuleChain) -> RunLengthMetrics:
-    """Exact ARL and SDRL of the chain, solved on its lumped chain.
+    """Exact ARL and SDRL of the chain: ``run_length_metrics`` at its p.
 
     Raises ChainSingularError when p = 1 (no absorption, infinite run
     length): callers treat that as "limit unreachable", not overflow.
     """
-    if chain.p >= _P_SINGULAR:
-        raise ChainSingularError(f"no absorption at p={chain.p}; run length is infinite")
-    src, dst, k, initial = _lumping(chain.rule.r, chain.rule.s)
-    q_matrix = np.zeros(k * k)
-    q_matrix[dst] = chain.transition.take(src)
-    q_matrix = q_matrix.reshape(k, k)
-    a_matrix = np.eye(k) - q_matrix
-    one = np.ones(k)
+    return run_length_metrics(chain.rule, [chain.p])[0]
+
+
+def run_length_metrics(rule: RunRule, ps: Sequence[float]) -> list[RunLengthMetrics]:
+    """Exact ARL and SDRL of the rule's chart at each inside-probability p.
+
+    The one evaluation entry point of the chain layer.  The lumped
+    matrices are filled straight from p (the full chain is never built)
+    and solved in stacks of at most ``_STACK_DOUBLES`` entries.  Raises
+    ChainSingularError as ``arl`` does, at the first p that has no
+    meaningful absorption or whose solve loses accuracy.
+    """
+    dst, k, initial = _lumping(rule.r, rule.s)
+    ps = np.asarray(ps, dtype=float)
+    group = max(1, _STACK_DOUBLES // (k * k))
+    metrics: list[RunLengthMetrics] = []
+    for start in range(0, ps.size, group):
+        chunk = ps[start : start + group, None]
+        q_matrix = np.zeros((chunk.size, k * k))
+        q_matrix[:, dst[:k]] = chunk
+        q_matrix[:, dst[k:]] = 1.0 - chunk
+        metrics += _solve_lumped(q_matrix.reshape(-1, k, k), chunk[:, 0].tolist(), initial)
+    return metrics
+
+
+def _solve_lumped(q_matrix: np.ndarray, ps: list[float], initial: int) -> list[RunLengthMetrics]:
+    """ARL and SDRL from a stack of lumped matrices, one per p in ps."""
+    for p in ps:
+        if p >= _P_SINGULAR:
+            raise ChainSingularError(f"no absorption at p={p}; run length is infinite")
+    a_matrix = np.eye(q_matrix.shape[1]) - q_matrix
     try:
-        v = np.linalg.solve(a_matrix, one)
-        w = np.linalg.solve(a_matrix, q_matrix @ one)
+        v = np.linalg.solve(a_matrix, np.ones(q_matrix.shape[:2] + (1,)))
+        w = np.linalg.solve(a_matrix, q_matrix.sum(axis=2, keepdims=True))
         z = np.linalg.solve(a_matrix, w)
     except np.linalg.LinAlgError as exc:
-        raise ChainSingularError(f"chain solve failed at p={chain.p}: {exc}") from exc
-    mean_rl = float(v[initial])
-    if not math.isfinite(mean_rl) or mean_rl < 1.0:
-        raise ChainSingularError(f"chain solve lost accuracy at p={chain.p} (ARL={mean_rl})")
-    variance = 2.0 * float(z[initial]) - mean_rl * mean_rl + mean_rl
-    sdrl = math.sqrt(max(variance, 0.0))
-    return RunLengthMetrics(arl=mean_rl, sdrl=sdrl, method=RunLengthMethod.EXACT_MARKOV)
+        where = ps[0] if len(ps) == 1 else f"one of {ps}"
+        raise ChainSingularError(f"chain solve failed at p={where}: {exc}") from exc
+    metrics = []
+    for p, mean_rl, second in zip(ps, v[:, initial, 0].tolist(), z[:, initial, 0].tolist()):
+        if not math.isfinite(mean_rl) or mean_rl < 1.0:
+            raise ChainSingularError(f"chain solve lost accuracy at p={p} (ARL={mean_rl})")
+        variance = 2.0 * second - mean_rl * mean_rl + mean_rl
+        sdrl = math.sqrt(max(variance, 0.0))
+        metrics.append(RunLengthMetrics(arl=mean_rl, sdrl=sdrl, method=RunLengthMethod.EXACT_MARKOV))
+    return metrics

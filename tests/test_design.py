@@ -161,10 +161,35 @@ class TestEarl:
         d = solve_design(rule(2, 3, "upper"), pm)
         monkeypatch.setattr(
             design_mod,
-            "arl_at_shift",
-            lambda *a, **k: RunLengthMetrics(42.0, 40.0, RunLengthMethod.EXACT_MARKOV),
+            "_metrics_at_levels",
+            lambda limit, rule, n, gammas, **k: [RunLengthMetrics(42.0, 40.0, RunLengthMethod.EXACT_MARKOV)]
+            * len(gammas),
         )
         assert design_mod.earl(d, pm, None, INCREASING_SHIFTS) == pytest.approx(42.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "r,s,direction,gamma0,n,me,profile",
+        [
+            (2, 3, "upper", 0.1, 5, MeasurementErrorModel(theta=0.05, eta=0.28), "exact"),
+            (2, 3, "lower", 0.05, 200, None, "cdflib"),
+            (8, 10, "upper", 0.1, 5, None, "cdflib"),
+            (8, 10, "lower", 0.05, 200, MeasurementErrorModel(theta=0.02, eta=0.2, reps=3), "exact"),
+        ],
+        ids=["2of3-up-n5-me-exact", "2of3-low-n200-cdflib", "8of10-up-n5-cdflib", "8of10-low-n200-me-exact"],
+    )
+    def test_equals_quadrature_of_arl_at_shift(self, r, s, direction, gamma0, n, me, profile):
+        # earl solves its nodes as one stack; arl_at_shift solves one shift
+        pm = ProcessModel(gamma0, n)
+        d = solve_design(rule(r, s, direction), pm, me, profile=profile)
+        shift_range = INCREASING_SHIFTS if direction == "upper" else DECREASING_SHIFTS
+        x, w = np.polynomial.legendre.leggauss(64)
+        half = 0.5 * (shift_range.hi - shift_range.lo)
+        mid = 0.5 * (shift_range.hi + shift_range.lo)
+        arls = [
+            arl_at_shift(d, pm, me, ShiftSpec.from_tau(half * xi + mid, gamma0), profile=profile).arl for xi in x
+        ]
+        expected = float(np.dot(w, arls)) * half / (shift_range.hi - shift_range.lo)
+        assert earl(d, pm, me, shift_range, profile=profile) == pytest.approx(expected, rel=1e-12)
 
     def test_node_doubling_stability(self):
         pm = ProcessModel(0.05, 5)

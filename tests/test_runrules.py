@@ -1,6 +1,7 @@
 """Run-rule chain construction and exact run-length metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cvrunrules.runrules import (
     build_chain,
     in_control_prob,
     rule_automaton,
+    run_length_metrics,
 )
 
 RULES = [(2, 3), (3, 4), (4, 5)]
@@ -133,22 +135,24 @@ class TestArl:
             RunLengthMetrics(arl=10.0, sdrl=9.0, method=RunLengthMethod.EXACT_MARKOV, stderr=0.1)
 
     def test_mc_cross_validation_bernoulli(self):
-        # simulate the rule directly on Bernoulli(p) violations
+        # simulate the rule directly on Bernoulli(p) violations: every
+        # replication keeps its own window of the last s-1 flags
         rng = np.random.default_rng(77)
         r, s, p = 2, 3, 0.9
         exact = arl(build_chain(RunRule(r, s, Direction.UPPER), p))
         reps = 200_000
         lengths = np.empty(reps)
-        for i in range(reps):
-            hist = [0] * (s - 1)
-            t = 0
-            while True:
-                t += 1
-                out = rng.random() > p
-                if out and sum(hist) + 1 >= r:
-                    break
-                hist = hist[1:] + [1 if out else 0]
-            lengths[i] = t
+        alive = np.arange(reps)
+        window = np.zeros((reps, s - 1), dtype=np.int64)
+        t = 0
+        while alive.size:
+            t += 1
+            out = rng.random(alive.size) > p
+            signal = out & (window.sum(axis=1) + 1 >= r)
+            lengths[alive[signal]] = t
+            keep = ~signal
+            alive = alive[keep]
+            window = np.concatenate((window[keep, 1:], out[keep, None]), axis=1)
         se = lengths.std(ddof=1) / math.sqrt(reps)
         assert abs(lengths.mean() - exact.arl) <= 3 * se
 
@@ -216,6 +220,24 @@ class TestLumping:
             assert metrics.sdrl == pytest.approx(full_sdrl, rel=1e-10, abs=1e-9)
             compared += 1
         assert compared >= 1
+
+    def test_stacks_are_capped(self):
+        # 64 nodes of 8-of-10 (120 classes) would stack 7.4 MB of lumped
+        # matrices in one go; the stacks are capped near 0.5 MB and give
+        # the same numbers as one p at a time
+        rule = RunRule(8, 10, Direction.UPPER)
+        ps = np.linspace(0.05, 0.95, 64).tolist()
+        run_length_metrics(rule, ps[:1])  # cache the lumping outside the trace
+        tracemalloc.start()
+        try:
+            stacked = run_length_metrics(rule, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        single = [arl(build_chain(rule, p)) for p in ps]
+        assert [m.arl for m in stacked] == [m.arl for m in single]
+        assert [m.sdrl for m in stacked] == [m.sdrl for m in single]
 
 
 class TestInControlProb:

@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from cvrunrules.errors import DomainError
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from cvrunrules.cvdist import cv2_cdf
+from cvrunrules.errors import DomainError, EvaluationError
 from cvrunrules.specfun import (
     NoncentralParams,
     noncentral_f_cdf,
@@ -24,6 +28,44 @@ from cvrunrules.specfun import (
 KERNEL_ATOL = 1e-13       # reg_inc_beta contract
 CDF_ATOL = 1e-10          # noncentral CDF contract
 FD_RTOL = 1e-6            # pdf vs finite-differenced cdf
+
+
+def _mp_noncentral_f_cdf(x, df1, df2, lam):
+    """Noncentral F CDF as a 40-digit mpmath Poisson-beta sum.
+
+    One mpmath betainc at the Poisson mode, then the exact recurrences
+    I(a+1) = I(a) - T(a), T(a+1) = T(a) u (a+b)/(a+1) outward: every term
+    below the mode, and terms above it until the weight is below 1e-45.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x, df1, df2, half = mp.mpf(x), mp.mpf(df1), mp.mpf(df2), mp.mpf(lam) / 2
+        u = df1 * x / (df1 * x + df2)
+        b = df2 / 2
+        j0 = int(half)
+        a0 = df1 / 2 + j0
+        i0 = mp.betainc(a0, b, 0, u, regularized=True)
+        w0 = mp.exp(-half + j0 * mp.log(half) - mp.loggamma(j0 + 1))
+        t0 = mp.exp(a0 * mp.log(u) + b * mp.log(1 - u) + mp.loggamma(a0 + b) - mp.loggamma(a0 + 1) - mp.loggamma(b))
+        total = w0 * i0
+        w, i, t, j, a = w0, i0, t0, j0, a0
+        while j <= half or w >= mp.mpf(10) ** -45:
+            i -= t
+            t *= u * (a + b) / (a + 1)
+            w *= half / (j + 1)
+            j += 1
+            a += 1
+            total += w * i
+        w, i, t, j, a = w0, i0, t0, j0, a0
+        while j > 0:
+            t *= a / (u * (a + b - 1))  # T(a - 1)
+            i += t
+            w *= j / half
+            j -= 1
+            a -= 1
+            total += w * i
+        return float(total)
 
 
 class TestRegIncBeta:
@@ -162,6 +204,85 @@ class TestNoncentralFCdf:
             if w < 1e-18 * total:
                 break
         assert total == pytest.approx(1.0, abs=tol)
+
+    # (x, df2, lambda): body and tails up to lambda = 24000.  The fourth is
+    # the cv2 law at n = 50, gamma = 0.2, far in its upper tail.
+    MPMATH_POINTS = [
+        (1.0, 4.0, 5.0),
+        (0.3, 1.0, 0.2),
+        (1e-3, 4.0, 3.0),
+        (400.0, 49.0, 1250.0),
+        (40.0, 9.0, 80.0),
+        (700.0, 14.0, 900.0),
+        (1002.0, 4.0, 500.0),
+        (1e9, 4.0, 500.0),
+        (13590.42, 14.0, 6000.0),
+        (24000.0, 49.0, 24000.0),
+        (23000.0, 199.0, 24000.0),
+        (26000.0, 199.0, 24000.0),
+    ]
+
+    @pytest.mark.parametrize("x,df2,lam", MPMATH_POINTS)
+    def test_mpmath_poisson_beta_sum(self, x, df2, lam):
+        reference = _mp_noncentral_f_cdf(x, 1.0, df2, lam)
+        assert noncentral_f_cdf(x, NoncentralParams(1.0, df2, lam)) == pytest.approx(reference, abs=1e-12)
+
+    def test_far_tail_relative_accuracy(self):
+        # true value 5.76940261492e-11; a kernel that stops each direction
+        # at an absolute 1e-12 term bound is off by 2e-3 relative here
+        value = noncentral_f_cdf(400.0, NoncentralParams(1.0, 49.0, 1250.0))
+        assert value == pytest.approx(_mp_noncentral_f_cdf(400.0, 1.0, 49.0, 1250.0), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [5e5, 2e6])
+    @pytest.mark.parametrize("df2", [49.0, 199.0])
+    def test_scipy_large_lambda(self, lam, df2):
+        import scipy.stats as st
+
+        p = NoncentralParams(1.0, df2, lam)
+        for x in lam * np.array([0.9, 0.95, 0.99, 1.0, 1.01, 1.05, 1.1]):
+            assert noncentral_f_cdf(float(x), p) == pytest.approx(st.ncf.cdf(x, 1.0, df2, lam), abs=1e-11)
+
+    def test_huge_lambda_fails_fast(self):
+        # the window length (~1.1e8 terms at lambda = 1e14) is known before
+        # any work, so the cap raises without allocating or looping
+        import time
+        import tracemalloc
+
+        p = NoncentralParams(1.0, 4.0, 1e14)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(EvaluationError):
+                noncentral_f_cdf(1e14, p)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 1_000_000
+
+    def test_no_nan_near_zero(self):
+        # x -> 0 makes the mode's beta decrement underflow while the ratios
+        # toward j = 0 are huge; the log-space sums must not form 0 * inf
+        p = NoncentralParams(1.0, 4.0, 500.0)
+        for x in (5e-9, 1e-100, 1e-300):
+            assert noncentral_f_cdf(x, p) == pytest.approx(0.0, abs=1e-100)
+        assert cv2_cdf(1e9, 5, 0.1) == 1.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        df2=hs.floats(1.0, 400.0),
+        lam=hs.one_of(hs.floats(0.0, 50.0), hs.floats(50.0, 2e6)),
+        scale=hs.floats(0.0, 3.0),
+        step=hs.floats(0.0, 0.5),
+    )
+    def test_property_bounded_and_monotone(self, df2, lam, scale, step):
+        p = NoncentralParams(1.0, df2, lam)
+        x1 = scale * (lam + 1.0)
+        x2 = x1 * (1.0 + step) + step
+        lo, hi = noncentral_f_cdf(x1, p), noncentral_f_cdf(x2, p)
+        assert 0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0
+        assert hi >= lo - 1e-12
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):
