@@ -4,21 +4,22 @@ shift ranges.
 
 The control limit sits at mean -/+ k * std of the in-control squared-CV
 law (lower/upper chart), with the moments taken at the observed in-control
-CV when a measurement-error model is present.  The chart constant k is the
-root of ARL(k; tau=1) = ARL0, found by bisection sharpened with secant
-steps inside a fixed bracket; evaluations where the chain loses absorption
-(limit unreachable) count as +infinity, which keeps the search monotone.
+CV when a measurement-error model is present.  The in-control ARL depends
+on k only through the inside probability p, so the design takes two roots
+of one bracketed Illinois regula falsi: p* with ARL(p*) = ARL0 on the
+run-rule chain alone, cached per (r, s, ARL0), then the k in [0, 20] whose
+limit has inside probability p*, from CDF calls alone.
 
-Every evaluation (solver objective, ``arl_at_shift``, ``earl``) goes
-through one helper: one CDF call per CV level gives the inside
-probability p, and ``runrules.run_length_metrics`` solves the run-rule
-chain on its lumped matrix filled straight from p, so the full history
-chain is never built.  The 64 EARL nodes are solved as stacked linear
-systems.
+Every evaluation (``arl_at_shift``, ``earl``) goes through one helper: one
+CDF call per CV level gives the inside probability p, and
+``runrules.run_length_metrics`` solves the run-rule chain on its lumped
+matrix filled straight from p, so the full history chain is never built.
+The 64 EARL nodes are solved as stacked linear systems.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,9 +47,10 @@ __all__ = [
 
 DEFAULT_ARL0 = 370.4
 _BRACKET = (0.0, 20.0)
-_REL_TOL = 1e-6     # |ARL(k) - ARL0| <= _REL_TOL * ARL0
-_K_TOL = 1e-9       # or bracket narrower than this
-_MAX_ITER = 200
+# Roots stop at |f| <= _TOL or a bracket narrower than _TOL * max(1, |x|);
+# both objectives, log(ARL / ARL0) and a logit difference, are unitless.
+_TOL = 1e-13
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -117,46 +119,61 @@ def _metrics_at_levels(
     return runrules.run_length_metrics(rule, ps)
 
 
-def _solve_k(objective: Callable[[float], float], lo: float, hi: float, arl0: float) -> float:
-    """Root of objective(k) = 0 on [lo, hi]; objective is increasing with
-    +inf allowed.  Bisection with a secant candidate each step."""
-    g_lo = objective(lo)
-    if not math.isfinite(g_lo):
-        raise UnattainableDesignError("in-control ARL is infinite over the whole bracket")
-    if g_lo > 0:
-        raise UnattainableDesignError(
-            f"in-control ARL at k={lo} is already {g_lo + arl0:.4g} > target {arl0}"
-        )
-    g_hi = objective(hi)
-    if math.isfinite(g_hi) and g_hi < 0:
-        raise UnattainableDesignError(
-            f"target ARL {arl0} not reachable inside the bracket; "
-            f"maximum achievable is {g_hi + arl0:.6g} at k={hi}"
-        )
-    k_lo, k_hi = lo, hi
-    f_lo, f_hi = g_lo, g_hi
-    best_k, best_g = k_lo, abs(g_lo)
+def _root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f on [lo, hi], given f_lo = f(lo) < 0 < f_hi = f(hi).
+
+    Illinois regula falsi: the false-position point replaces the end of
+    its own sign, and when the other end survives twice running its value
+    is halved, so both ends close in.  The sign change stays bracketed,
+    so a slightly non-monotone f (the ``cdflib`` CDF) still converges.
+    """
+    kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (k_lo + k_hi)
-        # Secant candidate only when both bracket values are finite and usable.
-        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_hi != f_lo:
-            sec = k_lo - f_lo * (k_hi - k_lo) / (f_hi - f_lo)
-            if k_lo + 0.1 * (k_hi - k_lo) < sec < k_hi - 0.1 * (k_hi - k_lo):
-                mid = sec
-        g_mid = objective(mid)
-        if math.isfinite(g_mid) and abs(g_mid) < best_g:
-            best_k, best_g = mid, abs(g_mid)
-        if math.isfinite(g_mid) and abs(g_mid) <= _REL_TOL * arl0:
-            return mid
-        if not math.isfinite(g_mid) or g_mid > 0:
-            k_hi, f_hi = mid, g_mid
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if hi - lo <= _TOL * max(1.0, abs(x)):
+            return x
+        fx = f(x)
+        if abs(fx) <= _TOL:
+            return x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept > 0:
+                f_hi *= 0.5
+            kept = 1
         else:
-            k_lo, f_lo = mid, g_mid
-        if k_hi - k_lo < _K_TOL:
-            break
-    if best_g <= _REL_TOL * arl0 or k_hi - k_lo < _K_TOL:
-        return best_k
-    raise UnattainableDesignError(f"chart-constant solve did not converge (residual {best_g:.3g})")
+            hi, f_hi = x, fx
+            if kept < 0:
+                f_lo *= 0.5
+            kept = -1
+    raise UnattainableDesignError(f"root search did not converge on [{lo!r}, {hi!r}]")
+
+
+@functools.lru_cache
+def _p_star(r: int, s: int, arl0: float) -> float:
+    """The inside probability at which the r-of-s chain's ARL equals arl0.
+
+    Searched in u = -log(1 - p) on log(ARL / arl0), which is nearly linear
+    in u.  At p = 0 every point signals and the ARL is r; from there u
+    steps by log 2 (halving 1 - p) until the ARL passes arl0, so no chain
+    solve sees an ARL much above 2^r * arl0.
+    """
+    if not arl0 > r:
+        raise UnattainableDesignError(f"target ARL {arl0} is not above {r}, the ARL when every point violates")
+    rule = RunRule(r, s, Direction.UPPER)
+
+    def excess(u: float) -> float:
+        (metrics,) = runrules.run_length_metrics(rule, [-math.expm1(-u)])
+        return math.log(metrics.arl / arl0)
+
+    step = math.log(2.0)
+    lo, f_lo, hi, f_hi = 0.0, math.log(r / arl0), step, excess(step)
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, hi + step
+        try:
+            f_hi = excess(hi)
+        except ChainSingularError as exc:
+            raise UnattainableDesignError(f"target ARL {arl0} is beyond what the chain resolves: {exc}") from exc
+    return -math.expm1(-_root(excess, lo, hi, f_lo, f_hi))
 
 
 def solve_design(
@@ -182,16 +199,24 @@ def solve_design(
             f"observed in-control CV {gamma_in:.6g} is outside the validity window"
         )
     moments = moments_for_gamma(gamma_in, pm.n)
+    p_star = _p_star(rule.r, rule.s, arl0)
+    logit_star = math.log(p_star / (1.0 - p_star))
 
-    def objective(k: float) -> float:
+    def excess(k: float) -> float:
+        # The logit of p climbs about evenly with k where p itself flattens
+        # toward 1; a p that rounds to 1 reads as the largest double below 1.
         limit = _limit_for(k, rule.direction, moments)
-        try:
-            (metrics,) = _metrics_at_levels(limit, rule, pm.n, [gamma_in], profile=profile, force=False)
-        except ChainSingularError:
-            return math.inf
-        return metrics.arl - arl0
+        p = min(runrules.in_control_prob(rule.direction, limit, pm.n, gamma_in, profile=profile), 1.0 - 2.0**-53)
+        return math.log(p / (1.0 - p)) - logit_star
 
-    k = _solve_k(objective, _BRACKET[0], _BRACKET[1], arl0)
+    lo, hi = _BRACKET
+    f_lo = excess(lo)
+    if f_lo > 0.0:
+        raise UnattainableDesignError(f"in-control ARL at k={lo} is already above target {arl0}")
+    f_hi = excess(hi)
+    if f_hi < 0.0:
+        raise UnattainableDesignError(f"target ARL {arl0} not reachable inside the bracket: k={hi} falls short")
+    k = _root(excess, lo, hi, f_lo, f_hi)
     limit = _limit_for(k, rule.direction, moments)
     if rule.direction is Direction.LOWER and limit <= 0.0:
         raise UnattainableDesignError(

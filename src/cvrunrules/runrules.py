@@ -249,7 +249,7 @@ def arl(chain: RuleChain) -> RunLengthMetrics:
     """Exact ARL and SDRL of the chain: ``run_length_metrics`` at its p.
 
     Raises ChainSingularError when p = 1 (no absorption, infinite run
-    length): callers treat that as "limit unreachable", not overflow.
+    length).
     """
     return run_length_metrics(chain.rule, [chain.p])[0]
 

@@ -7,13 +7,14 @@ Poisson mode so that large noncentrality (lambda up to ~1e6 and beyond)
 never underflows: starting the recurrences at j = 0 would begin from
 weights that are exactly zero in double precision once lambda/2 > 745.
 
-The t CDF and the F density walk outward from the mode term by term.
-The F CDF, the kernel of every chart evaluation, sums a term window
+The t CDF walks outward from the mode term by term.  The F CDF, the
+kernel of every chart evaluation, and the F density each sum a term window
 fixed in advance in one numpy pass: j0 +- (8.1 sqrt(lambda/2) + 22), the
 width at which a Bernstein tail bound leaves at most 1e-14 of Poisson
 mass outside (Benton & Krishnamoorthy 2003, *CSDA* 43:249, on
-mode-centred evaluation).  One continued fraction at the mode anchors
-the beta values; the rest come from cumulative sums of log ratios.  A
+mode-centred evaluation).  The CDF's beta values are anchored by one
+continued fraction at the mode, the density's beta densities by their
+closed form there; the rest come from cumulative sums of log ratios.  A
 window longer than ``_TERM_CAP`` raises EvaluationError before anything
 is allocated.  Against a 40-digit mpmath sum the F CDF is within 1e-12
 absolute for lambda up to 24 000.
@@ -49,7 +50,6 @@ __all__ = [
 # holds ~11 500 terms, and a window at the cap (lambda ~ 7.6e9) takes about
 # 0.2 s and 56 MB of work arrays.
 _TERM_CAP = 10**6
-_F_TOL = 1e-12
 # Poisson mass the noncentral F CDF window may drop, and the log-term floor
 # of its beta decrements (exp(-700) ~ 1e-304, still a normal double).
 _F_TAIL = 1e-14
@@ -171,19 +171,33 @@ def _log_beta_prefactor(a: float, b: float, log_x: float, log_y: float) -> float
     return a * log_x + b * log_y + _lgamma_shift(big, small) - lgamma(small)
 
 
-def _poisson_window(mu: float) -> tuple[int, int]:
-    """Terms lo..hi holding all but _F_TAIL of the Poisson(mu) mass.
+def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Terms j = lo..hi holding all but _F_TAIL of the Poisson(mu) mass,
+    their weights relative to the mode term j0 = int(mu), and j0 - lo.
 
     Bernstein's inequalities for the Poisson law,
     P(X >= mu + t) <= exp(-t^2 / (2 (mu + t/3))) and
     P(X <= mu - t) <= exp(-t^2 / (2 mu)), put at most
     2 exp(-t^2 / (2 (mu + t/3))) outside mu +- t.  That equals _F_TAIL at
     t = L/3 + sqrt(L^2/9 + 2 L mu) with L = log(2 / _F_TAIL) ~ 32.9, i.e.
-    about 8.1 sqrt(mu) + 22 terms on each side.
+    about 8.1 sqrt(mu) + 22 terms on each side.  The weights are
+    cumulative products of their ratios from the mode, which avoids the
+    lgamma cancellation of exp(-mu + j0 log(mu) - lgamma(j0 + 1)); callers
+    normalise over the window.  A window over ``_TERM_CAP`` terms raises
+    EvaluationError before anything is allocated.
     """
     big_l = log(2.0 / _F_TAIL)
     t = big_l / 3.0 + sqrt(big_l * big_l / 9.0 + 2.0 * big_l * mu)
-    return max(0, int(mu - t)), int(mu + t) + 1
+    lo, hi = max(0, int(mu - t)), int(mu + t) + 1
+    if hi - lo + 1 > _TERM_CAP:
+        raise EvaluationError(f"noncentral F window of {hi - lo + 1} terms exceeds {_TERM_CAP} (lambda={2 * mu})")
+    mode = int(mu) - lo
+    j = np.arange(lo, hi + 1, dtype=float)
+    weights = np.empty_like(j)
+    weights[mode] = 1.0
+    np.cumprod(j[mode:0:-1] / mu, out=weights[:mode][::-1])
+    np.cumprod(mu / j[mode + 1 :], out=weights[mode + 1 :])
+    return j, weights, mode
 
 
 def _log_ibeta_decrement(a: float, b: float, x: float) -> float:
@@ -290,9 +304,7 @@ def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
     The beta values come from one continued fraction at the Poisson mode
     j0 and the decrements T_j = I(a0 + j) - I(a0 + j + 1) on both sides,
     summed in log space so that an underflowed T_j0 never meets an
-    overflowed ratio product.  The weights are cumulative products of
-    their ratios from the mode, normalised over the window, which avoids
-    the lgamma cancellation of exp(-lambda/2 + j0 log(lambda/2) - lgamma(j0 + 1)).
+    overflowed ratio product.  The window's weights are normalised over it.
 
     Raises EvaluationError, before any work, when the window exceeds
     ``_TERM_CAP`` terms (lambda above about 7.6e9).
@@ -314,11 +326,8 @@ def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
     v = p.df2 / (p.df1 * x + p.df2)
     log_u, log_v = (log(u), log1p(-u)) if u < 0.5 else (log1p(-v), log(v))
     half = 0.5 * lam
-    lo, hi = _poisson_window(half)
-    if hi - lo + 1 > _TERM_CAP:
-        raise EvaluationError(f"noncentral F window of {hi - lo + 1} terms exceeds {_TERM_CAP} (lambda={lam})")
+    j, weights, mode = _poisson_window(half)
     j0 = int(half)
-    mode = j0 - lo
     a_m = a0 + j0
     log_bt = _log_beta_prefactor(a_m, b, log_u, log_v)
     # Each continued fraction converges fast below its switch point.  Near
@@ -335,11 +344,6 @@ def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
     # of a lambda = 8e6 call under 1 MB: j, the weights, and ``terms``,
     # which holds in turn log T_(j-1) - log T_j0, T_(j-1), the partial sums
     # T_lo + ... + T_(j-1), I(a0 + j) and the weighted terms.
-    j = np.arange(lo, hi + 1, dtype=float)
-    weights = np.empty_like(j)
-    weights[mode] = 1.0
-    np.cumprod(j[mode:0:-1] / half, out=weights[:mode][::-1])
-    np.cumprod(half / j[mode + 1 :], out=weights[mode + 1 :])
     # T_j / T_(j-1) = u (1 + (b - 1) / (a0 + j))
     terms = np.zeros_like(j)
     np.add(j[1:-1], a0, out=terms[2:])
@@ -369,69 +373,38 @@ def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
 def noncentral_f_pdf(x: float, p: NoncentralParams) -> float:
     """Density of the noncentral F distribution at x > 0.
 
-    Same Poisson mixture as the CDF with beta densities in place of beta
-    CDFs; the terms are not monotone in j, so truncation requires a few
-    consecutive negligible terms on top of the mass bound.
+    The CDF's Poisson mixture with beta densities d_j in place of the
+    beta CDFs, summed in one numpy pass over the same window and with the
+    same normalised weights.  d_j at the mode comes from
+    ``_log_beta_prefactor`` (so through ``_lgamma_shift``); the others
+    from cumulative sums of log(d_(j+1) / d_j) = log u + log1p(b / (a0 + j)).
+
+    Raises EvaluationError, before any work, when the window exceeds
+    ``_TERM_CAP`` terms.
     """
     if x <= 0.0:
         raise DomainError(f"x must be positive, got {x}")
     u = p.df1 * x / (p.df1 * x + p.df2)
     if u >= 1.0:
         return 0.0
-    if u <= 0.0:
-        u = _FPMIN
+    u = u if u > 0.0 else _FPMIN
+    v = p.df2 / (p.df1 * x + p.df2)
+    log_u, log_v = (log(u), log1p(-u)) if u < 0.5 else (log1p(-v), log(v))
     dudx = p.df1 * p.df2 / (p.df1 * x + p.df2) ** 2
     a0 = 0.5 * p.df1
     b = 0.5 * p.df2
-    lam = p.noncentrality
-
-    def beta_density(a: float) -> float:
-        return exp((a - 1.0) * log(u) + (b - 1.0) * log1p(-u) + lgamma(a + b) - lgamma(a) - lgamma(b))
-
-    if lam == 0.0:
-        return beta_density(a0) * dudx
-
-    half = 0.5 * lam
+    half = 0.5 * p.noncentrality
+    j, weights, mode = _poisson_window(half)
     j0 = int(half)
-    w0 = exp(-half + j0 * log(half) - lgamma(j0 + 1))
-    a_m = a0 + j0
-    d0 = beta_density(a_m)
-    total = w0 * d0
-    nterms = 0
-
-    w, d, a, j = w0, d0, a_m, j0
-    quiet = 0
-    while True:
-        d *= u * (a + b) / a
-        w *= half / (j + 1.0)
-        j += 1
-        a += 1.0
-        term = w * d
-        total += term
-        nterms += 1
-        if nterms > _TERM_CAP:
-            raise EvaluationError(f"noncentral F density series exceeded {_TERM_CAP} terms (lambda={lam})")
-        quiet = quiet + 1 if term <= _F_TOL * max(total, _FPMIN) else 0
-        if quiet >= 3:
-            break
-
-    w, d, a, j = w0, d0, a_m, j0
-    quiet = 0
-    while j > 0:
-        d *= (a - 1.0) / (u * (a + b - 1.0))
-        w *= j / half
-        j -= 1
-        a -= 1.0
-        term = w * d
-        total += term
-        nterms += 1
-        if nterms > _TERM_CAP:
-            raise EvaluationError(f"noncentral F density series exceeded {_TERM_CAP} terms (lambda={lam})")
-        quiet = quiet + 1 if term <= _F_TOL * max(total, _FPMIN) else 0
-        if quiet >= 3:
-            break
-
-    return total * dudx
+    log_d0 = _log_beta_prefactor(a0 + j0, b, log_u, log_v) - log_u - log_v
+    log_d = np.zeros_like(j)
+    np.log1p(b / (a0 + j[:-1]), out=log_d[1:])
+    np.cumsum(log_d, out=log_d)
+    log_d += (j - j0) * log_u + (log_d0 - log_d[mode])
+    np.maximum(log_d, _LOG_TINY, out=log_d)
+    terms = np.exp(log_d, out=log_d)
+    terms *= weights
+    return float(terms.sum()) / float(weights.sum()) * dudx
 
 
 def noncentral_f_cdf_cdflib(x: float, p: NoncentralParams) -> float:

@@ -75,7 +75,7 @@ class TestSolveDesign:
             assert metrics.arl == pytest.approx(DEFAULT_ARL0, rel=ROUND_TRIP_RTOL)
 
     def test_monotone_in_k_upper(self):
-        # the bisection bracket relies on ARL increasing with k
+        # the k root relies on p, and with it the in-control ARL, rising with k
         from cvrunrules.cvdist import moments_for_gamma
         from cvrunrules.runrules import arl as chain_arl, build_chain, in_control_prob
 
@@ -87,14 +87,77 @@ class TestSolveDesign:
         assert all(b > a for a, b in zip(arls, arls[1:]))
 
     def test_unattainable_target(self):
-        # ARL0 far beyond what any k in the bracket can reach on the lower side
-        pm = ProcessModel(0.1, 5)
-        with pytest.raises((UnattainableDesignError, DomainError)):
-            solve_design(rule(2, 3, "lower"), pm, arl0=1.0000001)
+        # no chart reaches an ARL0 <= r (with every point violating it is r),
+        # nor one whose inside probability the chain cannot tell from 1
+        for r, s, direction, arl0 in ((2, 3, "lower", 1.0000001), (4, 5, "upper", 4.0), (1, 1, "upper", 1e15)):
+            with pytest.raises(UnattainableDesignError):
+                solve_design(rule(r, s, direction), ProcessModel(0.1, 5), arl0=arl0)
 
     def test_invalid_arl0(self):
         with pytest.raises(DomainError):
             solve_design(rule(2, 3, "upper"), ProcessModel(0.1, 5), arl0=0.5)
+
+
+class TestPStar:
+    """The in-control ARL depends on k only through the inside probability,
+    so every design of a rule shares one p* = p(ARL0) from the chain."""
+
+    @pytest.mark.parametrize(
+        "gamma0,n,me",
+        [
+            (0.1, 5, None),
+            (0.05, 15, None),
+            (0.2, 50, None),
+            (0.012, 200, None),
+            (0.1, 5, MeasurementErrorModel(theta=0.05, eta=0.28)),
+            (0.05, 15, MeasurementErrorModel(theta=0.02, eta=0.2, slope=1.2, reps=3)),
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_limits_share_p_star(self, gamma0, n, me, direction):
+        import cvrunrules.design as design_mod
+        from cvrunrules import merror
+        from cvrunrules.runrules import in_control_prob
+
+        pm = ProcessModel(gamma0, n)
+        d = solve_design(rule(3, 4, direction), pm, me)
+        gamma_in = merror.observed_cv_incontrol(gamma0, me or MeasurementErrorModel.identity())
+        p = in_control_prob(Direction(direction), d.limit, n, gamma_in)
+        assert p == pytest.approx(design_mod._p_star(3, 4, DEFAULT_ARL0), abs=1e-12)
+
+    def test_sweep_runs_one_chain_search(self, monkeypatch):
+        import cvrunrules.design as design_mod
+        from cvrunrules import runrules
+
+        real_metrics, real_solve = runrules.run_length_metrics, design_mod.solve_design
+        in_solver = []
+        solver_calls = []
+
+        def metrics(rule_, ps):
+            if in_solver:
+                solver_calls.append(len(ps))
+            return real_metrics(rule_, ps)
+
+        def solve(*args, **kwargs):
+            in_solver.append(True)
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                in_solver.pop()
+
+        monkeypatch.setattr(runrules, "run_length_metrics", metrics)
+        monkeypatch.setattr(design_mod, "solve_design", solve)
+        design_mod._p_star.cache_clear()
+        solve(rule(3, 4, "upper"), ProcessModel(0.1, 5))
+        one_search = len(solver_calls)
+        design_mod._p_star.cache_clear()
+        solver_calls.clear()
+        rows = sweep(
+            [rule(3, 4, "upper")],
+            {"gamma0": [0.05, 0.1, 0.2], "n": [5, 15], "theta": [0.0, 0.05], "tau": [1.5]},
+        )
+        assert len(rows) == 12 and all(row["error"] is None for row in rows)
+        assert 0 < len(solver_calls) == one_search
 
 
 class TestArlAtShift:

@@ -68,6 +68,39 @@ def _mp_noncentral_f_cdf(x, df1, df2, lam):
         return float(total)
 
 
+def _mp_noncentral_f_pdf(x, df1, df2, lam):
+    """Noncentral F density as a 30-digit mpmath Poisson mixture of beta
+    densities, d(a + 1) = d(a) u (a + b) / a, summed outward from the
+    mode until the terms fall below 1e-30 of the sum."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x, df1, df2, half = mp.mpf(x), mp.mpf(df1), mp.mpf(df2), mp.mpf(lam) / 2
+        u = df1 * x / (df1 * x + df2)
+        b = df2 / 2
+        j0 = int(half)
+        a0 = df1 / 2 + j0
+        w0 = mp.exp(-half + j0 * mp.log(half) - mp.loggamma(j0 + 1))
+        d0 = mp.exp((a0 - 1) * mp.log(u) + (b - 1) * mp.log(1 - u) - mp.log(mp.beta(a0, b)))
+        total = w0 * d0
+        tiny = mp.mpf(10) ** -30
+        w, d, j, a = w0, d0, j0, a0
+        while j <= half or w * d >= tiny * total:
+            d *= u * (a + b) / a
+            w *= half / (j + 1)
+            j += 1
+            a += 1
+            total += w * d
+        w, d, j, a = w0, d0, j0, a0
+        while j > 0 and (j >= half or w * d >= tiny * total):
+            d *= (a - 1) / (u * (a + b - 1))
+            w *= j / half
+            j -= 1
+            a -= 1
+            total += w * d
+        return float(total * df1 * df2 / (df1 * x + df2) ** 2)
+
+
 class TestRegIncBeta:
     def test_endpoints(self):
         assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
@@ -336,6 +369,29 @@ class TestNoncentralFPdf:
             pdf = noncentral_f_pdf(x, p)
             if pdf > 1e-12:
                 assert pdf == pytest.approx(fd, rel=1e-5)
+
+    # the mean of F(1, df2, lambda) and +-10% around it
+    @pytest.mark.parametrize("lam", [500.0, 24000.0, 5e5])
+    @pytest.mark.parametrize("df2", [4.0, 49.0, 199.0])
+    @pytest.mark.parametrize("factor", [0.9, 1.0, 1.1])
+    def test_mpmath_mixture(self, lam, df2, factor):
+        x = factor * df2 * (1.0 + lam) / (df2 - 2.0)
+        reference = _mp_noncentral_f_pdf(x, 1.0, df2, lam)
+        assert noncentral_f_pdf(x, NoncentralParams(1.0, df2, lam)) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        df2=hs.floats(1.0, 200.0),
+        lam=hs.one_of(hs.floats(0.0, 50.0), hs.floats(50.0, 2e6)),
+        scale=hs.floats(0.2, 3.0),
+    )
+    def test_property_central_difference_of_cdf(self, df2, lam, scale):
+        # the CDF's 1e-13 absolute accuracy bounds the quotient's error by 1e-13 / h
+        p = NoncentralParams(1.0, df2, lam)
+        x = scale * (lam + 1.0)
+        h = 1e-5 * x
+        fd = (noncentral_f_cdf(x + h, p) - noncentral_f_cdf(x - h, p)) / (2 * h)
+        assert noncentral_f_pdf(x, p) == pytest.approx(fd, rel=FD_RTOL, abs=1e-13 / h)
 
 
 class TestCdflibProfile:
