@@ -41,8 +41,8 @@ _PROFILES = ("exact", "cdflib")
 
 
 def _check_gamma(gamma: float, force: bool) -> None:
-    if not gamma > 0.0:
-        raise GammaDomainError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:  # force opens the window, never to inf or NaN
+        raise GammaDomainError(f"gamma must be positive and finite, got {gamma}")
     if gamma >= GAMMA_VALIDITY_LIMIT and not force:
         raise GammaDomainError(
             f"gamma = {gamma} is outside the validity window (0, {GAMMA_VALIDITY_LIMIT}); "

@@ -14,7 +14,7 @@ Every evaluation (``arl_at_shift``, ``earl``) goes through one helper: one
 CDF call per CV level gives the inside probability p, and
 ``runrules.run_length_metrics`` solves the run-rule chain on its lumped
 matrix filled straight from p, so the full history chain is never built.
-The 64 EARL nodes are solved as stacked linear systems.
+The 64 EARL nodes go to the chain as one stack.
 """
 
 from __future__ import annotations

@@ -49,6 +49,9 @@ class MeasurementErrorModel:
     reps: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("theta", "eta", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta < 0:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.eta < 0:

@@ -86,6 +86,12 @@ class TestCvCdf:
             cv_cdf(0.5, 5, 0.6)
         assert 0.0 <= cv_cdf(0.5, 5, 0.6, force=True) <= 1.0
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_force_never_admits_non_finite(self, gamma):
+        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+            with pytest.raises(GammaDomainError, match="finite"):
+                law(0.5, 5, gamma, force=True)
+
 
 class TestCv2Cdf:
     def test_cross_law_agreement(self):

@@ -125,6 +125,18 @@ class TestPStar:
         p = in_control_prob(Direction(direction), d.limit, n, gamma_in)
         assert p == pytest.approx(design_mod._p_star(3, 4, DEFAULT_ARL0), abs=1e-12)
 
+    def test_unreachable_arl0(self):
+        # 1-of-1 has ARL 1/q and 10-of-10 about q^-10; no double p < 1 has
+        # q below 2^-53, so neither target is reachable, and the search
+        # meets the chain's refusal at p = 1 on its way
+        import cvrunrules.design as design_mod
+
+        for r, s, arl0 in ((1, 1, 1e17), (10, 10, 1e200)):
+            with pytest.raises(UnattainableDesignError):
+                design_mod._p_star(r, s, arl0)
+        # a target just inside the double range is solved, not refused
+        assert design_mod._p_star(1, 1, 1e15) == pytest.approx(1.0 - 1e-15, abs=2**-53)
+
     def test_sweep_runs_one_chain_search(self, monkeypatch):
         import cvrunrules.design as design_mod
         from cvrunrules import runrules

@@ -39,6 +39,14 @@ class TestModelValidation:
         assert type(MeasurementErrorModel(reps=np.int64(2)).reps) is int
 
 
+    @pytest.mark.parametrize("field", ["theta", "eta", "slope"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_fields(self, field, value):
+        # eta = inf used to construct and drive the observed CV to inf
+        with pytest.raises(DomainError, match="finite"):
+            MeasurementErrorModel(**{field: value})
+
+
 class TestObservedCv:
     def test_identity_model_passthrough(self):
         assert observed_cv_incontrol(0.1, MeasurementErrorModel.identity()) == pytest.approx(0.1)

@@ -5,11 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from cvrunrules.cvdist import moments_for_gamma
+from cvrunrules import runrules
+from cvrunrules.cvdist import ProcessModel, moments_for_gamma
+from cvrunrules.design import arl_at_shift, solve_design
 from cvrunrules.errors import ChainSingularError, DomainError
+from cvrunrules.merror import MeasurementErrorModel, ShiftSpec, observed_cv_shifted
 from cvrunrules.runrules import (
     Direction,
+    RuleAutomaton,
     RunLengthMethod,
     RunLengthMetrics,
     RunRule,
@@ -26,6 +32,71 @@ ALL_RULES = [(r, s) for s in range(1, 11) for r in range(1, s + 1)]
 
 def chain_arl(r, s, p):
     return arl(build_chain(RunRule(r, s, Direction.UPPER), p)).arl
+
+
+def _mp_lumped_metrics(r, s, p, dps=80):
+    """ARL and SDRL of the lumped r-of-s chain at p, in mpmath at ``dps``
+    digits: A = I - Q_k from the automaton's classes, then plain Gaussian
+    elimination (diagonal updated by subtraction, zero multipliers
+    skipped) for v = A^-1 1 and z = A^-1 (v - 1).  A's condition number is
+    about the ARL (up to 1e40 here), so 80 digits leave 40 to spare."""
+    import mpmath as mp
+
+    automaton = rule_automaton(r, s)
+    reps, block = automaton.representatives.tolist(), automaton.block.tolist()
+    k = len(reps)
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        matrix = [{c: mp.mpf(1)} for c in range(k)]
+        for c, rep in enumerate(reps):
+            successors = [(automaton.t_in[rep], p), (automaton.t_out[rep], 1 - p)]
+            for state, mass in successors:
+                if state >= 0:
+                    d = block[state]
+                    matrix[c][d] = matrix[c].get(d, 0) - mass
+
+        def solve(rhs):
+            a, b = [dict(row) for row in matrix], list(rhs)
+            for j in range(k):
+                for i in range(j + 1, k):
+                    if not a[i].get(j):
+                        continue
+                    f = a[i].pop(j) / a[j][j]
+                    for c, value in a[j].items():
+                        if c > j:
+                            a[i][c] = a[i].get(c, 0) - f * value
+                    b[i] -= f * b[j]
+            x = [mp.mpf(0)] * k
+            for j in range(k - 1, -1, -1):
+                x[j] = (b[j] - mp.fsum(value * x[c] for c, value in a[j].items() if c > j)) / a[j][j]
+            return x
+
+        v = solve([mp.mpf(1)] * k)
+        z = solve([x - 1 for x in v])
+        i = block[automaton.initial_index]
+        return v[i], mp.sqrt(2 * z[i] - v[i] ** 2 + v[i])
+
+
+def _assert_matches_mpmath(metrics, r, s, p, rtol=1e-13):
+    ref_arl, ref_sdrl = _mp_lumped_metrics(r, s, p)
+    assert abs(metrics.arl - ref_arl) <= rtol * ref_arl, (r, s, p, metrics.arl, float(ref_arl))
+    assert abs(metrics.sdrl - ref_sdrl) <= rtol * ref_sdrl, (r, s, p, metrics.sdrl, float(ref_sdrl))
+
+
+def _run_automaton(r):
+    """The minimal automaton of r consecutive violations (r-of-r): state
+    i carries r - 1 - i trailing violations, so the initial state is last.
+    ``rule_automaton`` would enumerate all 2^(r-1) histories instead."""
+    t_in = np.full(r, r - 1)
+    t_out = np.arange(-1, r - 1)
+    return RuleAutomaton(
+        states=tuple((i,) for i in range(r)),
+        t_in=t_in,
+        t_out=t_out,
+        initial_index=r - 1,
+        block=np.arange(r),
+        representatives=np.arange(r),
+    )
 
 
 class TestChainStructure:
@@ -103,6 +174,42 @@ class TestArl:
     def test_singular_at_p_one(self):
         with pytest.raises(ChainSingularError):
             arl(build_chain(RunRule(2, 3, Direction.UPPER), 1.0))
+        # q = 1 - p is 0 only at p = 1: the largest double below 1 is solved
+        rule = RunRule(1, 1, Direction.UPPER)
+        with pytest.raises(ChainSingularError):
+            run_length_metrics(rule, [0.5, 1.0])
+        (metrics,) = run_length_metrics(rule, [1.0 - 2.0**-53])
+        assert metrics.arl == 2.0**53
+
+    def test_rejects_p_outside_unit_interval(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                run_length_metrics(RunRule(2, 3, Direction.UPPER), [0.5, p])
+
+    @pytest.mark.parametrize("r", [20, 22])
+    def test_overflow_is_loud(self, r, monkeypatch):
+        # With p < 1 the smallest q is 2^-53, so only a run of r >= 20
+        # outside points can push the ARL, about q^-r, past 1.8e308; at
+        # r = 22 the last pivot (about q^r) underflows to 0 as well.  The
+        # r-of-r chain is given by its minimal automaton.
+        monkeypatch.setattr(runrules, "rule_automaton", lambda r_, s_: _run_automaton(r_))
+        runrules._gth_plan.cache_clear()
+        try:
+            rule = RunRule(r, r, Direction.UPPER)
+            p = 1.0 - 2.0**-53
+            for ps in ([p], [0.5, p]):
+                with pytest.raises(ChainSingularError):
+                    run_length_metrics(rule, ps)
+            if r == 20:
+                # just below overflow the ARL is exact: (1 - q^r) / (p q^r)
+                q = 1e-15
+                (metrics,) = run_length_metrics(rule, [1.0 - q])
+                q = 1.0 - (1.0 - q)
+                expected = (1.0 - q**r) / ((1.0 - q) * q**r)
+                assert metrics.arl == pytest.approx(expected, rel=1e-13)
+                assert math.isfinite(metrics.sdrl) and metrics.sdrl == pytest.approx(expected, rel=1e-13)
+        finally:
+            runrules._gth_plan.cache_clear()
 
     @pytest.mark.parametrize("r,s", RULES)
     def test_monotone_in_p(self, r, s):
@@ -238,6 +345,52 @@ class TestLumping:
         single = [arl(build_chain(rule, p)) for p in ps]
         assert [m.arl for m in stacked] == [m.arl for m in single]
         assert [m.sdrl for m in stacked] == [m.sdrl for m in single]
+
+
+class TestGthAccuracy:
+    """The GTH solve against an independent 80-digit elimination of the
+    same lumped chain, with no cap on the ARL (up to 1e40 on this grid)."""
+
+    P_GRID = TestLumping.P_GRID + (1.0 - 1e-4,)
+
+    @pytest.mark.parametrize("r,s", ALL_RULES)
+    def test_matches_mpmath(self, r, s):
+        # 9-of-10 at p = 0.9973 is 1.4654e22 and 8-of-10 9.9221e18; the
+        # dense solves gave 2.3e18 and a singular matrix there
+        stacked = run_length_metrics(RunRule(r, s, Direction.UPPER), list(self.P_GRID))
+        for p, metrics in zip(self.P_GRID, stacked):
+            _assert_matches_mpmath(metrics, r, s, p)
+
+    def test_readme_sweep_cell(self):
+        # `cvrunrules sweep --config data/example_config.json --gamma0 0.05
+        # 0.1 0.2 --tau 0.5 0.8 1.25 2.0`: 4-of-5 upper at gamma0 = 0.05,
+        # tau = 0.5, where the dense solve printed 4681527127817083
+        rule = RunRule(4, 5, Direction.UPPER)
+        pm = ProcessModel(0.05, 5)
+        me = MeasurementErrorModel(theta=0.05, eta=0.28)
+        design = solve_design(rule, pm, me)
+        shift = ShiftSpec.from_tau(0.5, pm.gamma0)
+        metrics = arl_at_shift(design, pm, me, shift)
+        gamma = observed_cv_shifted(pm.gamma0, shift, me)
+        p = in_control_prob(rule.direction, design.limit, pm.n, gamma, force=True)
+        _assert_matches_mpmath(metrics, 4, 5, p)
+        assert metrics.arl == pytest.approx(4.6818e15, rel=1e-4)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        rule=hs.integers(1, 10).flatmap(lambda s: hs.tuples(hs.integers(1, s), hs.just(s))),
+        ps=hs.lists(hs.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8, unique=True),
+    )
+    def test_property_monotone_finite_and_stack_exact(self, rule, ps):
+        rule = RunRule(*rule, Direction.UPPER)
+        ps = sorted(ps)
+        stacked = run_length_metrics(rule, ps)
+        single = [run_length_metrics(rule, [p])[0] for p in ps]
+        assert [(m.arl, m.sdrl) for m in stacked] == [(m.arl, m.sdrl) for m in single]
+        assert all(math.isfinite(m.sdrl) and m.sdrl >= 0.0 for m in stacked)
+        for (p1, m1), (p2, m2) in zip(zip(ps, stacked), zip(ps[1:], stacked[1:])):
+            if p2 - p1 > 1e-9:  # closer p differ by less than the solve's last-place error
+                assert m2.arl > m1.arl, (rule, p1, p2)
 
 
 class TestInControlProb:
