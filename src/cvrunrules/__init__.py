@@ -4,8 +4,12 @@ error model.
 
 The package designs charts against an in-control ARL target, evaluates
 exact run-length metrics through an absorbing Markov chain, integrates
-expected ARL over shift ranges, validates everything against a full
-pipeline Monte Carlo oracle, and monitors recorded phase-II data.
+expected ARL over shift ranges, validates everything against a Monte
+Carlo oracle, and monitors recorded phase-II data.  The oracle draws each
+subgroup's mean and variance from their exact laws: the averaged items
+are normal, so the two are independent normal and scaled chi-square
+variates.  The item-by-item pipeline stays as the tests' reference for
+that sampler.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import merror, runrules
 from .cvdist import Cv2Moments, ProcessModel, moments_for_gamma
-from .errors import ChainSingularError, DomainError, GammaDomainError, UnattainableDesignError
+from .errors import ChainSingularError, DomainError, GammaDomainError, UnattainableDesignError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
 from .runrules import Direction, RunLengthMetrics, RunRule
 
@@ -245,6 +245,16 @@ def arl_at_shift(
     return metrics
 
 
+@functools.lru_cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: each
+    ``leggauss`` call is an eigenvalue solve."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def earl(
     design: ChartDesign,
     pm: ProcessModel,
@@ -261,10 +271,8 @@ def earl(
     Shifts are realized with the standard-deviation multiplier b held
     fixed (default 1) and the mean-shift component following tau.
     """
-    if nodes < 8:
-        raise DomainError(f"need at least 8 quadrature nodes, got {nodes}")
+    x, w = _gauss_legendre(as_integer(nodes, "nodes", 8))
     me = me if me is not None else MeasurementErrorModel.identity()
-    x, w = np.polynomial.legendre.leggauss(nodes)
     half_width = 0.5 * (shift_range.hi - shift_range.lo)
     mid = 0.5 * (shift_range.hi + shift_range.lo)
     gammas = [

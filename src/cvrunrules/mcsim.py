@@ -1,12 +1,22 @@
 """Independent Monte Carlo oracle for the chart mathematics.
 
-Simulates the full data-generating pipeline - true normal subgroups,
-linear covariate measurement error, per-item averaging of repeated
-measurements, squared sample CV, run-rule state tracking - and estimates
-run-length metrics empirically.  Nothing here reuses the analytic
-distribution code, so agreement between this module and the exact Markov
-results cross-validates both; only the run-rule states come from the
-integer tables of ``runrules.rule_automaton``.
+Simulates observed subgroups under the linear covariate measurement-error
+model, computes their squared sample CVs, tracks run-rule states and
+estimates run-length metrics empirically.  Nothing here reuses the
+analytic distribution code, so agreement between this module and the
+exact Markov results cross-validates both; only the run-rule states come
+from the integer tables of ``runrules.rule_automaton``.
+
+Each subgroup is drawn through its two sufficient statistics.  An
+averaged item A + B*X + mean(eps) is a linear combination of independent
+normals, hence exactly normal with mean mu* and variance sigma*^2 written
+below from the model's definition.  For n normal items the sample mean
+and sample variance are independent, with
+X-bar* ~ N(mu*, sigma*^2/n) and (n - 1) S*^2 / sigma*^2 ~ chi^2_{n-1},
+so one normal and one chi-square variate give a subgroup's (S*/X-bar*)^2
+with the exact law that n*(1 + m) item and error draws would give.  That
+item-level pipeline stays as the private ``_pipeline_subgroups``, the
+reference the tests compare this sampler against.
 
 Replications are split into fixed-size chunks, each driven by its own
 counter-based Philox stream keyed on (seed, chunk index).  Estimates are
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvdist import ProcessModel
+from .cvdist import ProcessModel, _check_gamma
 from .design import ChartDesign
 from .errors import DomainError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
@@ -68,7 +78,49 @@ def simulate_subgroups(
     me: MeasurementErrorModel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw ``size`` observed squared sample CVs through the full pipeline.
+    """Draw ``size`` observed squared sample CVs from their exact law.
+
+    True items are N(mu0 + a*sigma0, (b*sigma0)^2); each item is measured
+    m times as A + B*X + eps with eps ~ N(0, (eta*sigma0)^2) and the m
+    measurements averaged.  The averages are normal with mean
+    mu* = theta*mu0 + B*(mu0 + a*sigma0) and variance
+    sigma*^2 = (B*b*sigma0)^2 + (eta*sigma0)^2/m, so each subgroup takes
+    one normal draw for its mean and then one chi-square draw for its
+    variance.  Returns (S*/mean*)^2 over the n averages.
+    """
+    size = as_integer(size, "size", 0)
+    n = as_integer(n, "subgroup size n", 2)
+    _check_gamma(gamma0, force=False)
+    sigma0 = gamma0 * _MU0
+    mean_star = me.theta * _MU0 + me.slope * (_MU0 + shift.a * sigma0)
+    var_star = (me.slope * shift.b * sigma0) ** 2 + (me.eta * sigma0) ** 2 / me.reps
+    sd_mean = math.sqrt(var_star / n)
+    var_scale = var_star / (n - 1)
+    out = np.empty(size)
+    todo = np.arange(size)
+    redraws = 0
+    while todo.size:
+        xbar = rng.normal(mean_star, sd_mean, size=todo.size)
+        s2 = rng.chisquare(n - 1, size=todo.size) * var_scale
+        ok = xbar != 0.0
+        out[todo[ok]] = s2[ok] / xbar[ok] ** 2
+        redraws += int((~ok).sum())
+        todo = todo[~ok]
+    if redraws:
+        logger.warning("re-drew %d subgroups with a zero observed mean", redraws)
+    return out
+
+
+def _pipeline_subgroups(
+    size: int,
+    n: int,
+    gamma0: float,
+    shift: ShiftSpec,
+    me: MeasurementErrorModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``size`` observed squared sample CVs item by item: the tests'
+    reference for ``simulate_subgroups``.
 
     True items are N(mu0 + a*sigma0, (b*sigma0)^2); each item is measured
     m times as A + B*X + eps with eps ~ N(0, (eta*sigma0)^2) and the m

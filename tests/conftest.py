@@ -3,12 +3,37 @@
 The acceptance tests register one outcome line per criterion; the summary
 is printed at the end of the run so a plain ``pytest`` invocation shows
 the per-criterion verdicts.
+
+``c7_cells`` draws the Monte Carlo acceptance cells; the sampler-law test
+in ``test_mcsim`` runs on the same cells.
 """
 
 import sys
 import os
 
+import numpy as np
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+_C7_RULES = [(2, 3), (3, 4), (4, 5)]
+
+
+def c7_cells():
+    """The 20 C7 cells (r, s, direction, n, gamma0, tau, theta, eta, B, m)."""
+    rng = np.random.default_rng(777001)
+    cells = []
+    while len(cells) < 20:
+        r, s = _C7_RULES[rng.integers(0, 3)]
+        direction = "lower" if rng.random() < 0.5 else "upper"
+        tau = float(rng.uniform(0.5, 0.8)) if direction == "lower" else float(rng.uniform(1.3, 2.0))
+        n = int(rng.choice([5, 15]))
+        gamma0 = float(rng.choice([0.05, 0.1, 0.2]))
+        theta = float(rng.choice([0.0, 0.05]))
+        eta = float(rng.choice([0.0, 0.28]))
+        slope = float(rng.choice([0.9, 1.0, 1.1]))
+        m = int(rng.choice([1, 3]))
+        cells.append((r, s, direction, n, gamma0, tau, theta, eta, slope, m))
+    return cells
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -37,7 +37,7 @@ from cvrunrules.merror import MeasurementErrorModel, ShiftSpec, observed_cv_inco
 from cvrunrules.phase2 import monitor_values
 from cvrunrules.runrules import Direction, RunRule, arl, build_chain
 
-from conftest import record_criterion
+from conftest import c7_cells, record_criterion
 from tables import (
     B_TABLE,
     DEVIANT_BACKSTOP_TOL,
@@ -382,21 +382,9 @@ def test_c6_monitor_run_starts_and_shewhart():
 
 @pytest.mark.slow
 def test_c7_monte_carlo_vs_exact():
-    """Exact Markov vs full-pipeline MC (1e6 reps) within 3 SE on 20 cells."""
+    """Exact Markov vs Monte Carlo (1e6 reps) within 3 SE on 20 cells."""
     start = time.perf_counter()
-    rng = np.random.default_rng(777001)
-    cells = []
-    while len(cells) < 20:
-        r, s = RULES[rng.integers(0, 3)]
-        direction = "lower" if rng.random() < 0.5 else "upper"
-        tau = float(rng.uniform(0.5, 0.8)) if direction == "lower" else float(rng.uniform(1.3, 2.0))
-        n = int(rng.choice([5, 15]))
-        gamma0 = float(rng.choice([0.05, 0.1, 0.2]))
-        theta = float(rng.choice([0.0, 0.05]))
-        eta = float(rng.choice([0.0, 0.28]))
-        slope = float(rng.choice([0.9, 1.0, 1.1]))
-        m = int(rng.choice([1, 3]))
-        cells.append((r, s, direction, n, gamma0, tau, theta, eta, slope, m))
+    cells = c7_cells()
     # make sure the sample really spans both directions and all rules
     assert {c[:2] for c in cells} == set(RULES)
     assert {c[2] for c in cells} == {"lower", "upper"}

@@ -9,6 +9,7 @@ from cvrunrules.design import (
     DECREASING_SHIFTS,
     INCREASING_SHIFTS,
     ShiftRange,
+    _gauss_legendre,
     arl_at_shift,
     earl,
     solve_design,
@@ -291,6 +292,21 @@ class TestEarl:
         d = solve_design(rule(2, 3, "upper"), pm)
         with pytest.raises(DomainError):
             earl(d, pm, None, INCREASING_SHIFTS, nodes=4)
+
+    @pytest.mark.parametrize("nodes", [64.0, True, "64", np.float64(64.0)])
+    def test_nodes_must_be_integer(self, nodes):
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(rule(2, 3, "upper"), pm)
+        with pytest.raises(DomainError, match="nodes must be an integer >= 8"):
+            earl(d, pm, None, INCREASING_SHIFTS, nodes=nodes)
+
+    def test_cached_nodes_are_leggauss_read_only(self):
+        x, w = _gauss_legendre(64)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert _gauss_legendre(64) is _gauss_legendre(64)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
     def test_invalid_range(self):
         with pytest.raises(DomainError):

@@ -9,9 +9,19 @@ import pytest
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
 from cvrunrules.errors import DomainError
-from cvrunrules.mcsim import SimConfig, estimate_run_length, simulate_subgroup, simulate_subgroups
+from cvrunrules.mcsim import (
+    SimConfig,
+    _pipeline_subgroups,
+    estimate_run_length,
+    simulate_subgroup,
+    simulate_subgroups,
+)
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
+
+from conftest import c7_cells
+
+C7_CELLS = c7_cells()
 
 
 def philox(seed):
@@ -81,6 +91,58 @@ class TestSimulateSubgroup:
         emp_cv = obs.std(ddof=1) / obs.mean()
         se = emp_cv / math.sqrt(2 * (len(obs) - 1))  # delta-method scale
         assert abs(emp_cv - observed_cv_incontrol(0.1, me)) <= 5 * se
+
+    @pytest.mark.parametrize(
+        "size, n, gamma0",
+        [
+            (-1, 5, 0.1),
+            (2.0, 5, 0.1),
+            (True, 5, 0.1),
+            (10, 1, 0.1),
+            (10, 5.0, 0.1),
+            (10, True, 0.1),
+            (10, 5, math.nan),
+            (10, 5, 0.0),
+            (10, 5, -0.1),
+            (10, 5, math.inf),
+            (10, 5, 0.5),
+        ],
+    )
+    def test_rejects_bad_inputs(self, size, n, gamma0):
+        me, shift = MeasurementErrorModel.identity(), ShiftSpec.in_control(0.1)
+        with pytest.raises(DomainError):
+            simulate_subgroups(size, n, gamma0, shift, me, philox(1))
+        if size == 10:
+            with pytest.raises(DomainError):
+                simulate_subgroup(n, gamma0, shift, me, philox(1))
+
+    def test_two_draws_from_the_model(self):
+        # one normal for the subgroup mean, then one chi-square for its
+        # variance, at the averaged item's mean and variance written out
+        # from X* = A + B*X + eps: n = 5, gamma0 = 0.1, theta = 0.05,
+        # eta = 0.28, B = 0.9, m = 3, tau = 1.5 realized by a mean shift
+        me = MeasurementErrorModel(theta=0.05, eta=0.28, slope=0.9, reps=3)
+        shift = ShiftSpec.from_tau(1.5, 0.1)
+        got = simulate_subgroups(1000, 5, 0.1, shift, me, philox(17))
+        mean = 0.05 + 0.9 * (1.0 + shift.a * 0.1)
+        var = (0.9 * 0.1) ** 2 + (0.28 * 0.1) ** 2 / 3
+        rng = philox(17)
+        xbar = rng.normal(mean, math.sqrt(var / 5), size=1000)
+        s2 = rng.chisquare(4, size=1000) * var / 4
+        np.testing.assert_allclose(got, s2 / xbar**2, rtol=1e-14)
+
+    @pytest.mark.parametrize("i", range(len(C7_CELLS)))
+    def test_same_law_as_pipeline(self, i):
+        # the two-draw sampler against the item-by-item pipeline on every
+        # Monte Carlo acceptance cell
+        from scipy.stats import ks_2samp
+
+        r, s, direction, n, gamma0, tau, theta, eta, slope, m = C7_CELLS[i]
+        me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
+        shift = ShiftSpec.from_tau(tau, gamma0)
+        two_draw = simulate_subgroups(20_000, n, gamma0, shift, me, philox(31000 + i))
+        pipeline = _pipeline_subgroups(20_000, n, gamma0, shift, me, philox(32000 + i))
+        assert ks_2samp(two_draw, pipeline).pvalue > 1e-3
 
     def test_shift_changes_law(self):
         rng = philox(5)

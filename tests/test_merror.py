@@ -154,13 +154,13 @@ class TestObservedCv2Cdf:
 
     @pytest.mark.slow
     def test_end_to_end_simulation_oracle(self):
-        # full pipeline: true subgroups -> measurement -> averaged -> CV^2
-        from cvrunrules.mcsim import simulate_subgroups
+        # item-level pipeline: true subgroups -> measurement -> averaged -> CV^2
+        from cvrunrules.mcsim import _pipeline_subgroups
 
         rng = np.random.Generator(np.random.Philox(key=20240104))
         me = MeasurementErrorModel(theta=0.05, eta=0.28, slope=1.0, reps=1)
         shift = ShiftSpec.in_control(0.1)
-        g2 = simulate_subgroups(10_000_000, 5, 0.1, shift, me, rng)
+        g2 = _pipeline_subgroups(10_000_000, 5, 0.1, shift, me, rng)
         gamma_star = observed_cv_incontrol(0.1, me)
         x = 0.012
         emp = (g2 <= x).mean()
