@@ -44,7 +44,7 @@ from .merror import (
     observed_cv_shifted,
     shift_from_ab,
 )
-from .phase2 import MonitorTrace, PhaseIIRecord, monitor, monitor_values, read_phase2_csv
+from .phase2 import MonitorTrace, PhaseIIRecord, PhaseIISeries, monitor, monitor_values, read_phase2_csv
 from .runrules import (
     Direction,
     RuleChain,
@@ -92,6 +92,7 @@ __all__ = [
     "simulate_subgroups",
     "estimate_run_length",
     "PhaseIIRecord",
+    "PhaseIISeries",
     "MonitorTrace",
     "read_phase2_csv",
     "monitor_values",

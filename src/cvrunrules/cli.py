@@ -339,15 +339,16 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         _emit(summary, ("rule", "direction", "limit", "first_signal", "run_start"), args)
         return EXIT_OK
     rows = []
+    index, cv2 = records.index.tolist(), records.cv2.tolist()
     for trace in traces:
-        for rec, out in zip(records, trace.outside):
+        for i, value, out in zip(index, cv2, trace.outside):
             rows.append(
                 {
                     "rule": f"{trace.rule_r}-of-{trace.rule_s}",
                     "direction": trace.direction.value,
                     "limit": trace.limit,
-                    "index": rec.index,
-                    "cv2": rec.cv2,
+                    "index": i,
+                    "cv2": value,
                     "outside": int(out),
                     "first_signal": trace.first_signal,
                     "run_start": trace.run_start,

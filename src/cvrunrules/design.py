@@ -240,6 +240,7 @@ def arl_at_shift(
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
+    shift.check_gamma0(pm.gamma0)
     gamma_eval = merror.observed_cv_shifted(pm.gamma0, shift, me)
     (metrics,) = _metrics_at_levels(design.limit, design.rule, pm.n, [gamma_eval], profile=profile, force=True)
     return metrics

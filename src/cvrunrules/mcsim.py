@@ -91,6 +91,7 @@ def simulate_subgroups(
     size = as_integer(size, "size", 0)
     n = as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma0, force=False)
+    shift.check_gamma0(gamma0)
     sigma0 = gamma0 * _MU0
     mean_star = me.theta * _MU0 + me.slope * (_MU0 + shift.a * sigma0)
     var_star = (me.slope * shift.b * sigma0) ** 2 + (me.eta * sigma0) ** 2 / me.reps
@@ -178,6 +179,7 @@ def estimate_run_length(
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
+    shift.check_gamma0(pm.gamma0)
     automaton = rule_automaton(design.rule.r, design.rule.s)
     upper = design.rule.direction is Direction.UPPER
 

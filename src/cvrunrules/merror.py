@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _AB_CONSISTENCY_TOL = 1e-9
+_GAMMA0_MATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,14 @@ class ShiftSpec:
     @property
     def is_in_control(self) -> bool:
         return self.tau == 1.0
+
+    def check_gamma0(self, gamma0: float) -> None:
+        """Refuse a process whose gamma0 is not the one the shift was built
+        for: there its (a, b) decomposition realizes another tau."""
+        if not abs(self.gamma0 - gamma0) <= _GAMMA0_MATCH_RTOL * abs(gamma0):
+            raise DomainError(
+                f"shift was built for gamma0={self.gamma0}, but the process has gamma0={gamma0}"
+            )
 
 
 def shift_from_ab(a: float, b: float, gamma0: float) -> float:

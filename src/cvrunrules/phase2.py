@@ -4,25 +4,34 @@ Input records carry the subgroup index, observed sample mean and sample
 standard deviation; the plotted statistic (squared sample CV) is always
 recomputed from mean and std rather than trusted from the file.
 
-Each chart walks the chain's own automaton (``runrules.rule_automaton``),
-so it signals at the first sample where the trailing window of s points
-holds at least r violations; a NaN value is rejected, never read as inside.
-The report also carries the start of the consecutive violation run active
-at the signal, which is how such alarms are usually narrated.
+A recorded series is held as columns (``PhaseIISeries``): one pass of the
+CSV reader fills them, and the domain checks run on whole arrays.  A chart
+flags every sample with one comparison against its limit and signals at
+the first sample whose trailing window of s points holds at least r
+violations, counted as differences of a cumulative sum; a NaN value is
+rejected, never read as inside.  The report also carries the start of the
+consecutive violation run active at the signal, which is how such alarms
+are usually narrated, and the run-rule history after each sample, taken
+from the chain's own automaton (``runrules.rule_automaton``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .design import ChartDesign
 from .errors import ConfigError, DomainError
 from .runrules import Direction, RunRule, rule_automaton
 
-__all__ = ["PhaseIIRecord", "MonitorTrace", "read_phase2_csv", "monitor_values", "monitor"]
+__all__ = ["PhaseIIRecord", "PhaseIISeries", "MonitorTrace", "read_phase2_csv", "monitor_values", "monitor"]
 
 
 @dataclass(frozen=True)
@@ -46,29 +55,106 @@ class PhaseIIRecord:
         return self.cv**2
 
 
-def read_phase2_csv(path: str) -> list[PhaseIIRecord]:
+def _first_invalid(mean: np.ndarray, std: np.ndarray) -> Optional[int]:
+    """Position of the first subgroup ``PhaseIIRecord`` refuses, if any."""
+    bad = np.flatnonzero((mean == 0.0) | ~np.isfinite(mean) | ~((std >= 0.0) & (std < np.inf)))
+    return int(bad[0]) if bad.size else None
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+class PhaseIISeries(SequenceABC):
+    """Recorded subgroups as read-only columns.
+
+    ``index``, ``mean`` and ``std`` hold the recorded values and ``cv2`` the
+    plotted statistic, equal bit for bit to each record's ``cv2``.  As a
+    sequence it behaves like a list of ``PhaseIIRecord``: item access builds
+    the record on demand, and a slice gives a list.  (The ``index``
+    attribute is the column, so the list method of that name is not
+    offered.)
+    """
+
+    __slots__ = ("index", "mean", "std", "cv2")
+
+    def __init__(self, index: Sequence[int], mean: Sequence[float], std: Sequence[float]) -> None:
+        # numpy keeps indices beyond int64 as Python ints, as a list did
+        self.index = _frozen(np.array(index) if len(index) else np.zeros(0, dtype=np.int64))
+        self.mean = _frozen(np.array(mean, dtype=float))
+        self.std = _frozen(np.array(std, dtype=float))
+        if not len(self.index) == len(self.mean) == len(self.std):
+            raise DomainError("index, mean and std columns differ in length")
+        bad = _first_invalid(self.mean, self.std)
+        if bad is not None:
+            self[bad]  # the record's own check raises its message
+        # Python's ** (libm pow) and not np.square, whose x*x differs from
+        # pow(x, 2) in the last bit on about one subgroup in 1400
+        self.cv2 = _frozen(np.array([x**2 for x in (self.std / self.mean).tolist()], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        i = operator.index(item)
+        return PhaseIIRecord(int(self.index[i]), float(self.mean[i]), float(self.std[i]))
+
+    def __iter__(self) -> Iterator[PhaseIIRecord]:
+        for fields in zip(self.index.tolist(), self.mean.tolist(), self.std.tolist()):
+            yield PhaseIIRecord(*fields)
+
+
+def read_phase2_csv(path: str) -> PhaseIISeries:
     """Read records from a CSV with header ``index,mean,std``.
 
-    Malformed rows are reported with their line number.
+    Other columns and any column order are accepted.  Malformed rows are
+    reported with their line number, counted as ``csv.DictReader`` counts
+    rows: the header is line 1 and blank rows are skipped.
     """
-    records: list[PhaseIIRecord] = []
+    indices: list[int] = []
+    means: list[float] = []
+    stds: list[float] = []
+    failure: Optional[Exception] = None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"index", "mean", "std"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise ConfigError(f"{path}: header must contain columns {sorted(required)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    PhaseIIRecord(
-                        index=int(row["index"]),
-                        sample_mean=float(row["mean"]),
-                        sample_std=float(row["std"]),
-                    )
-                )
-            except (TypeError, ValueError, DomainError) as exc:
-                raise ConfigError(f"{path}:{line_no}: bad record ({exc})") from exc
-    return records
+        # a repeated name reads its last column, as in DictReader
+        position = {name: col for col, name in enumerate(header)}
+        columns = (position["index"], position["mean"], position["std"])
+        i_col, m_col, s_col = columns
+        add_index, add_mean, add_std = indices.append, means.append, stds.append
+        row: list[str] = []
+        try:
+            for row in reader:
+                if row:
+                    add_index(int(row[i_col]))
+                    add_mean(float(row[m_col]))
+                    add_std(float(row[s_col]))
+        except (IndexError, ValueError, csv.Error) as exc:
+            failure = exc
+    count = len(stds)  # rows read in full
+    del indices[count:], means[count:]
+    try:
+        series = PhaseIISeries(indices, means, stds)
+    except DomainError as exc:
+        line = _first_invalid(np.array(means), np.array(stds)) + 2
+        raise ConfigError(f"{path}:{line}: bad record ({exc})") from exc
+    if isinstance(failure, csv.Error):
+        raise failure
+    if failure is not None:
+        # redo the row as DictReader saw it, short rows padded with None
+        fields = [row[col] if col < len(row) else None for col in columns]
+        try:
+            int(fields[0]), float(fields[1]), float(fields[2])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{count + 2}: bad record ({exc})") from exc
+    return series
 
 
 @dataclass(frozen=True)
@@ -93,40 +179,57 @@ class MonitorTrace:
     run_start: Optional[int]
 
 
+@functools.lru_cache
+def _state_by_history(r: int, s: int) -> np.ndarray:
+    """The automaton's interned state tuples, indexed by the history value
+    (the last s - 1 flags as bits, oldest highest)."""
+    table = np.empty(1 << (s - 1), dtype=object)
+    for state in rule_automaton(r, s).states:
+        value = 0
+        for bit in state:
+            value = value << 1 | bit
+        table[value] = state
+    return _frozen(table)
+
+
 def monitor_values(
     values: Sequence[float], r: int, s: int, direction: Direction, limit: float
 ) -> MonitorTrace:
-    """Run the r-of-s rule over plotted values against one control limit."""
+    """Run the r-of-s rule over plotted values against one control limit.
+
+    A NaN value or a limit that is NaN or infinite raises ``DomainError``.
+    """
     rule = RunRule(r, s, direction)
-    automaton = rule_automaton(rule.r, rule.s)
-    t_in, t_out = automaton.t_in.tolist(), automaton.t_out.tolist()
-    upper = rule.direction is Direction.UPPER
-    outside: list[bool] = []
-    visited: list[int] = []
-    state = automaton.initial_index
-    first_signal: Optional[int] = None
-    run_start: Optional[int] = None
-    for pos, value in enumerate(values, start=1):
-        if math.isnan(value):
-            raise DomainError(f"plotted value {pos} is NaN")
-        out = value > limit if upper else value < limit
-        outside.append(out)
-        if first_signal is None:
-            nxt = t_out[state] if out else t_in[state]
-            if nxt < 0:
-                first_signal = run_start = pos
-                while run_start > 1 and outside[run_start - 2]:
-                    run_start -= 1
-            else:
-                state = nxt
-        visited.append(state)
+    if not math.isfinite(limit):
+        raise DomainError(f"control limit must be finite, got {limit}")
+    x = np.asarray(values, dtype=float)
+    nan = np.flatnonzero(np.isnan(x))
+    if nan.size:
+        raise DomainError(f"plotted value {nan[0] + 1} is NaN")
+    outside = x > limit if rule.direction is Direction.UPPER else x < limit
+    window = np.cumsum(outside)  # violations in the trailing s samples
+    window[rule.s :] -= window[: -rule.s].copy()
+    hits = np.flatnonzero(window >= rule.r)
+    first_signal = run_start = None
+    before = x.size  # samples before the signal
+    if hits.size:
+        before = int(hits[0])
+        first_signal = before + 1
+        inside = np.flatnonzero(~outside[:before])
+        run_start = int(inside[-1]) + 2 if inside.size else 1
+    # the history after each sample: its last s - 1 flags, frozen at the signal
+    flags = outside[:before].astype(np.int64)
+    history = np.zeros(x.size, dtype=np.int64)
+    for lag in range(min(rule.s - 1, before)):
+        history[lag:before] |= flags[: before - lag] << lag
+    history[before:] = history[before - 1] if before else 0
     return MonitorTrace(
         rule_r=rule.r,
         rule_s=rule.s,
         direction=rule.direction,
         limit=limit,
-        outside=tuple(outside),
-        states=tuple(automaton.states[i] for i in visited),
+        outside=tuple(outside.tolist()),
+        states=tuple(_state_by_history(rule.r, rule.s)[history].tolist()),
         first_signal=first_signal,
         run_start=run_start,
     )
@@ -134,7 +237,7 @@ def monitor_values(
 
 def monitor(records: Iterable[PhaseIIRecord], designs: Sequence[ChartDesign]) -> list[MonitorTrace]:
     """Apply each designed chart to the recorded series."""
-    values = [rec.cv2 for rec in records]
+    values = records.cv2 if isinstance(records, PhaseIISeries) else [rec.cv2 for rec in records]
     return [
         monitor_values(values, d.rule.r, d.rule.s, d.rule.direction, d.limit) for d in designs
     ]

@@ -1,6 +1,7 @@
 """Configuration schema and command-line surface tests."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -166,6 +167,30 @@ class TestCli:
             assert main(["monitor", "--config", EXAMPLE_CONFIG, EXAMPLE_DATA,
                          "--format", "csv", "--output", str(out), "--cdf", "cdflib"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # Output of the record-by-record reader and automaton walk that the
+    # column pipeline replaced; the charts must reproduce it byte for byte.
+    MONITOR_TABLE = (
+        "rule    direction  limit     first_signal  run_start\n"
+        "2-of-3  upper      0.556749  13            12       \n"
+        "3-of-4  upper      0.38217   13            12       \n"
+        "4-of-5  upper      0.297252  14            12       \n"
+        "1-of-1  upper      1.1913                           \n"
+    )
+    MONITOR_SHA256 = {
+        "table": "3e409abec08a5a2e3b4046d498824f73c62fd3db5457554936672b6947ec387f",
+        "csv": "c2b835ce90f422972fe4ef83589405fe25f1d2040e21bbe8afc8224315c30414",
+        "json": "bcb19507995c1074e06ced45a268bdbe057ca6f89894d152166aaede205200ab",
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_monitor_pinned_bytes(self, fmt, capsys):
+        assert main(["monitor", "--config", EXAMPLE_CONFIG, EXAMPLE_DATA,
+                     "--shewhart", "--cdf", "cdflib", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert out == self.MONITOR_TABLE
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MONITOR_SHA256[fmt]
 
     def test_monitor_shewhart_order_independent_of_hash_seed(self, tmp_path):
         # Under a set of directions, hash seeds 0 and 2 put the two 1-of-1

@@ -216,3 +216,32 @@ class TestEstimateRunLength:
             cfg = SimConfig(replications=150_000, seed=1000 + r * 10 + s)
             mc = estimate_run_length(d, pm, me, shift, cfg)
             assert abs(exact.arl - mc.arl) <= 3 * mc.stderr
+
+
+class TestShiftProcessMatch:
+    # ShiftSpec.from_tau(1.5, 0.05) stores a = (1/1.5 - 1)/0.05; applied to
+    # a gamma0 = 0.1 process that mean shift realizes tau = 3, not 1.5, so
+    # each side would answer for its own tau without a word
+    PM = ProcessModel(0.1, 5)
+    WRONG = ShiftSpec.from_tau(1.5, 0.05)
+
+    def design(self):
+        return solve_design(RunRule(2, 3, Direction.UPPER), self.PM, profile="cdflib")
+
+    def test_exact_side_refuses(self):
+        with pytest.raises(DomainError, match="gamma0"):
+            arl_at_shift(self.design(), self.PM, None, self.WRONG)
+
+    def test_monte_carlo_side_refuses(self):
+        with pytest.raises(DomainError, match="gamma0"):
+            estimate_run_length(self.design(), self.PM, None, self.WRONG, SimConfig(replications=10, seed=1))
+        with pytest.raises(DomainError, match="gamma0"):
+            simulate_subgroups(10, 5, 0.1, self.WRONG, MeasurementErrorModel.identity(), philox(1))
+
+    def test_relative_tolerance(self):
+        # a gamma0 that went through arithmetic still matches
+        near = ShiftSpec.from_tau(1.5, 0.1 * (1 + 1e-14))
+        assert simulate_subgroups(3, 5, 0.1, near, MeasurementErrorModel.identity(), philox(1)).shape == (3,)
+        far = ShiftSpec.from_tau(1.5, 0.1 * (1 + 1e-10))
+        with pytest.raises(DomainError):
+            simulate_subgroups(3, 5, 0.1, far, MeasurementErrorModel.identity(), philox(1))

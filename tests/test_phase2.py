@@ -1,17 +1,52 @@
 """Phase-II monitoring tests against the worked-example dataset."""
 
+import csv
+import os
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
+from cvrunrules.cvdist import ProcessModel
+from cvrunrules.design import solve_design
 from cvrunrules.errors import ConfigError, DomainError
-from cvrunrules.phase2 import PhaseIIRecord, monitor_values, read_phase2_csv
-from cvrunrules.runrules import Direction
+from cvrunrules.phase2 import PhaseIIRecord, PhaseIISeries, monitor, monitor_values, read_phase2_csv
+from cvrunrules.runrules import Direction, RunRule
 
 from tables import EXAMPLE_SHEWHART_UCL, EXAMPLE_UCL, PHASE2_DATA
 
 
 def example_cv2():
     return [(std / mean) ** 2 for (_, mean, std, _, _) in PHASE2_DATA]
+
+
+EXAMPLE_DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data", "phase2_example.csv")
+
+
+def row_by_row_reader(path):
+    """Reference: the record-by-record ``DictReader`` reader that the
+    column reader replaced, kept to pin its records and error texts."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"index", "mean", "std"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ConfigError(f"{path}: header must contain columns {sorted(required)}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                records.append(
+                    PhaseIIRecord(int(row["index"]), float(row["mean"]), float(row["std"]))
+                )
+            except (TypeError, ValueError, DomainError) as exc:
+                raise ConfigError(f"{path}:{line_no}: bad record ({exc})") from exc
+    return records
+
+
+def outcome(reader, path):
+    try:
+        return list(reader(path))
+    except ConfigError as exc:
+        return str(exc)
 
 
 def brute_force_first_signal(values, r, s, limit, direction="upper"):
@@ -77,6 +112,91 @@ class TestRecords:
         path.write_text("idx,avg\n1,2\n")
         with pytest.raises(ConfigError):
             read_phase2_csv(str(path))
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("index,mean,std\n1,0.0,1.0\n2,abc,1.0\n", id="domain-before-conversion"),
+            pytest.param("index,mean,std\n1,2.0,1.0\n2,abc,1.0\n3,0.0,1.0\n", id="conversion-before-domain"),
+            pytest.param("index,mean,std\n1,2.0,1.0\n2,3.0\n3,0.0,1.0\n", id="short-row"),
+            pytest.param("std,mean,index\n1.0,2.0,1\n1.0,2.0\n", id="short-row-missing-index"),
+            pytest.param("index,mean,std\n1,2.0,1.0\n\n2,3.0,-1.0\n", id="blank-line-then-bad"),
+            pytest.param("index,mean,std\n\n1,2.0,1.0\n\n\n2,3.0,1.0\n\n", id="blank-lines"),
+            pytest.param("index,mean,std\n1,nan,nan\n", id="mean-checked-first"),
+            pytest.param("index,mean,std\n1,2.0,1.0\n7,2.0,inf\n", id="inf-std"),
+            pytest.param("index,mean,std\n1,2.0,1.0\n7,-inf,1.0\n", id="inf-mean"),
+            pytest.param("index,mean,std\n1.5,2.0,1.0\n", id="float-index"),
+            pytest.param("std,index,mean\n1.0,1,2.0\n0.5,2,4.0\n", id="column-order"),
+            pytest.param("note,index,mean,std,more\na,1,2.0,1.0,b\nc,2,4.0,0.5\n", id="extra-columns"),
+            pytest.param("index,mean,std,mean\n1,0.0,1.0,2.0\n", id="repeated-column"),
+            pytest.param("index,mean,std\n1_0, 1.5,1_0\n", id="float-syntax"),
+            pytest.param("index,mean,std\n123456789012345678901234567890,2.0,1.0\n", id="huge-index"),
+            pytest.param("index,mean,std\n", id="header-only"),
+            pytest.param("", id="empty-file"),
+            pytest.param("\nindex,mean,std\n1,2.0,1.0\n", id="blank-header"),
+            pytest.param("idx,mean,std\n1,2.0,1.0\n", id="missing-column"),
+        ],
+    )
+    def test_same_records_and_errors_as_row_by_row(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert outcome(read_phase2_csv, str(path)) == outcome(row_by_row_reader, str(path))
+
+    def test_domain_error_before_conversion_error_reports_earlier_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("index,mean,std\n1,2.0,1.0\n2,0.0,1.0\n3,abc,1.0\n")
+        with pytest.raises(ConfigError, match=r":3: bad record \(sample mean"):
+            read_phase2_csv(str(path))
+
+    def test_short_row_is_a_config_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("index,mean,std\n1,2.0,1.0\n\n2,3.0\n")
+        with pytest.raises(ConfigError, match=r":3: bad record \(float\(\) argument"):
+            read_phase2_csv(str(path))
+
+    def test_sequence_behaviour(self):
+        series = read_phase2_csv(EXAMPLE_DATA)
+        old = row_by_row_reader(EXAMPLE_DATA)
+        assert isinstance(series, PhaseIISeries) and isinstance(series, Sequence)
+        assert len(series) == len(old) == 20
+        assert list(series) == old
+        assert [series[i] for i in range(-len(old), len(old))] == old + old
+        assert series[3:17:2] == old[3:17:2] and series[::-1] == old[::-1] and series[5:2] == []
+        with pytest.raises(IndexError):
+            series[20]
+        with pytest.raises(TypeError):
+            series[1.0]
+        assert series.index.tolist() == [r.index for r in old]
+        assert series.mean.tolist() == [r.sample_mean for r in old]
+        assert series.std.tolist() == [r.sample_std for r in old]
+        with pytest.raises(ValueError):
+            series.mean[0] = 1.0
+
+    def test_cv2_column_bit_for_bit(self, tmp_path):
+        # Python's x**2 (libm pow) and numpy's x*x disagree in the last bit
+        # on a few rows in every ten thousand; the column must follow the
+        # records
+        rng = np.random.default_rng(15000)
+        mean = rng.uniform(20.0, 80.0, 15000)
+        std = mean * 0.1 * rng.chisquare(4, 15000) ** 0.5 / 2
+        path = tmp_path / "long.csv"
+        lines = ["index,mean,std"] + [f"{i},{m:.6f},{s:.6f}" for i, (m, s) in enumerate(zip(mean, std), 1)]
+        path.write_text("\n".join(lines) + "\n")
+        series = read_phase2_csv(str(path))
+        assert series.cv2.tolist() == [r.cv2 for r in row_by_row_reader(str(path))]
+
+    def test_monitor_reads_the_column(self):
+        series = read_phase2_csv(EXAMPLE_DATA)
+        pm = ProcessModel(0.1, 5)
+        designs = [solve_design(RunRule(r, s, Direction.UPPER), pm, profile="cdflib") for r, s in ((2, 3), (1, 1))]
+        traces = monitor(series, designs)
+        assert traces == monitor(list(series), designs)
+        values = series.cv2.tolist()
+        assert [t.first_signal for t in traces] == [
+            brute_force_first_signal(values, d.rule.r, d.rule.s, d.limit) for d in designs
+        ]
 
 
 class TestMonitorValues:
@@ -145,9 +265,38 @@ class TestMonitorValues:
             for _ in range(5):
                 values = (rng.random(200) < rate).astype(float).tolist()
                 trace = monitor_values(values, r, s, Direction.UPPER, 0.5)
+                flags = [v > 0.5 for v in values]
+                assert trace.outside == tuple(flags)
                 assert trace.first_signal == brute_force_first_signal(values, r, s, 0.5)
-                # before the signal the state is the last s-1 violation flags
+                # the run start walks back over the violations before the signal
+                start = trace.first_signal
+                while start is not None and start > 1 and flags[start - 2]:
+                    start -= 1
+                assert trace.run_start == start
+                # before the signal the state is the last s-1 violation flags,
+                # and from the signal on it stays where it was
                 stop = trace.first_signal - 1 if trace.first_signal else len(values)
                 padded = [0] * (s - 1) + [int(v) for v in values]
                 for t in range(stop):
                     assert trace.states[t] == tuple(padded[t + 1: t + s])
+                frozen = tuple(padded[stop: stop + s - 1])
+                assert trace.states[stop:] == (frozen,) * (len(values) - stop)
+        empty = monitor_values([], r, s, Direction.UPPER, 0.5)
+        assert (empty.outside, empty.states, empty.first_signal, empty.run_start) == ((), (), None, None)
+
+    @pytest.mark.parametrize(
+        "direction,limit",
+        [
+            (Direction.UPPER, float("nan")),
+            (Direction.LOWER, float("nan")),
+            (Direction.UPPER, float("inf")),
+            (Direction.LOWER, float("inf")),
+            (Direction.UPPER, float("-inf")),
+            (Direction.LOWER, float("-inf")),
+        ],
+    )
+    def test_non_finite_limit_rejected(self, direction, limit):
+        # a NaN limit leaves every point inside and an infinite one puts
+        # every point on one side: plausible traces of no chart at all
+        with pytest.raises(DomainError, match="limit"):
+            monitor_values([5.0, 5.0, 5.0], 2, 3, direction, limit)
