@@ -179,7 +179,6 @@ def estimate_run_length(
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
-    shift.check_gamma0(pm.gamma0)
     automaton = rule_automaton(design.rule.r, design.rule.s)
     upper = design.rule.direction is Direction.UPPER
 

@@ -11,8 +11,8 @@ the first sample whose trailing window of s points holds at least r
 violations, counted as differences of a cumulative sum; a NaN value is
 rejected, never read as inside.  The report also carries the start of the
 consecutive violation run active at the signal, which is how such alarms
-are usually narrated, and the run-rule history after each sample, taken
-from the chain's own automaton (``runrules.rule_automaton``).
+are usually narrated, and the run-rule history after each sample, one of
+the chain's own automaton states (``runrules.history_path``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .design import ChartDesign
 from .errors import ConfigError, DomainError
-from .runrules import Direction, RunRule, rule_automaton
+from .runrules import Direction, RunRule, history_path, rule_automaton
 
 __all__ = ["PhaseIIRecord", "PhaseIISeries", "MonitorTrace", "read_phase2_csv", "monitor_values", "monitor"]
 
@@ -80,8 +80,11 @@ class PhaseIISeries(SequenceABC):
     __slots__ = ("index", "mean", "std", "cv2")
 
     def __init__(self, index: Sequence[int], mean: Sequence[float], std: Sequence[float]) -> None:
-        # numpy keeps indices beyond int64 as Python ints, as a list did
-        self.index = _frozen(np.array(index) if len(index) else np.zeros(0, dtype=np.int64))
+        try:
+            index = np.array(index, dtype=np.int64)
+        except OverflowError:  # keep indices beyond int64 as Python ints
+            index = np.array(index, dtype=object)
+        self.index = _frozen(index)
         self.mean = _frozen(np.array(mean, dtype=float))
         self.std = _frozen(np.array(std, dtype=float))
         if not len(self.index) == len(self.mean) == len(self.std):
@@ -118,6 +121,7 @@ def read_phase2_csv(path: str) -> PhaseIISeries:
     means: list[float] = []
     stds: list[float] = []
     failure: Optional[Exception] = None
+    bad_row: Optional[list[str]] = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -129,31 +133,37 @@ def read_phase2_csv(path: str) -> PhaseIISeries:
         columns = (position["index"], position["mean"], position["std"])
         i_col, m_col, s_col = columns
         add_index, add_mean, add_std = indices.append, means.append, stds.append
-        row: list[str] = []
         try:
             for row in reader:
                 if row:
-                    add_index(int(row[i_col]))
-                    add_mean(float(row[m_col]))
-                    add_std(float(row[s_col]))
-        except (IndexError, ValueError, csv.Error) as exc:
+                    try:
+                        index = int(row[i_col])
+                        mean = float(row[m_col])
+                        std = float(row[s_col])
+                    except (IndexError, ValueError):
+                        bad_row = row
+                        break
+                    add_index(index)
+                    add_mean(mean)
+                    add_std(std)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # raised after the domain check of the rows read before it, as
+            # a row-by-row loop would
             failure = exc
-    count = len(stds)  # rows read in full
-    del indices[count:], means[count:]
     try:
         series = PhaseIISeries(indices, means, stds)
     except DomainError as exc:
         line = _first_invalid(np.array(means), np.array(stds)) + 2
         raise ConfigError(f"{path}:{line}: bad record ({exc})") from exc
-    if isinstance(failure, csv.Error):
-        raise failure
     if failure is not None:
+        raise failure
+    if bad_row is not None:
         # redo the row as DictReader saw it, short rows padded with None
-        fields = [row[col] if col < len(row) else None for col in columns]
+        fields = [bad_row[col] if col < len(bad_row) else None for col in columns]
         try:
             int(fields[0]), float(fields[1]), float(fields[2])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{count + 2}: bad record ({exc})") from exc
+            raise ConfigError(f"{path}:{len(stds) + 2}: bad record ({exc})") from exc
     return series
 
 
@@ -180,15 +190,13 @@ class MonitorTrace:
 
 
 @functools.lru_cache
-def _state_by_history(r: int, s: int) -> np.ndarray:
-    """The automaton's interned state tuples, indexed by the history value
-    (the last s - 1 flags as bits, oldest highest)."""
-    table = np.empty(1 << (s - 1), dtype=object)
-    for state in rule_automaton(r, s).states:
-        value = 0
-        for bit in state:
-            value = value << 1 | bit
-        table[value] = state
+def _state_table(r: int, s: int) -> np.ndarray:
+    """The automaton's interned state tuples as an object array, for
+    gathering them by state index."""
+    states = rule_automaton(r, s).states
+    table = np.empty(len(states), dtype=object)
+    for i, state in enumerate(states):
+        table[i] = state
     return _frozen(table)
 
 
@@ -217,19 +225,17 @@ def monitor_values(
         first_signal = before + 1
         inside = np.flatnonzero(~outside[:before])
         run_start = int(inside[-1]) + 2 if inside.size else 1
-    # the history after each sample: its last s - 1 flags, frozen at the signal
-    flags = outside[:before].astype(np.int64)
-    history = np.zeros(x.size, dtype=np.int64)
-    for lag in range(min(rule.s - 1, before)):
-        history[lag:before] |= flags[: before - lag] << lag
-    history[before:] = history[before - 1] if before else 0
+    # the history after each sample, frozen at the signal
+    path = np.empty(x.size, dtype=np.int64)
+    path[:before] = history_path(rule.r, rule.s, outside[:before])
+    path[before:] = path[before - 1] if before else rule_automaton(rule.r, rule.s).initial_index
     return MonitorTrace(
         rule_r=rule.r,
         rule_s=rule.s,
         direction=rule.direction,
         limit=limit,
         outside=tuple(outside.tolist()),
-        states=tuple(_state_by_history(rule.r, rule.s)[history].tolist()),
+        states=tuple(_state_table(rule.r, rule.s)[path].tolist()),
         first_signal=first_signal,
         run_start=run_start,
     )

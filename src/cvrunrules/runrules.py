@@ -6,8 +6,9 @@ histories of the last s-1 points that contain at most r-1 violations;
 a new inside point (probability p) shifts the history, a new outside
 point either absorbs (if the trailing s-window now holds r violations)
 or shifts the history with a violation appended.  ``rule_automaton`` is
-the one encoding of these histories; the chain, the Monte Carlo oracle
-and phase-II monitoring all index its next-state tables.
+the one encoding of these histories; the chain and the Monte Carlo
+oracle index its next-state tables, and phase-II monitoring maps recorded
+points onto its states through ``history_path``.
 
 States are ordered by descending history value (oldest point most
 significant), which puts the all-inside history last; the initial
@@ -66,6 +67,7 @@ __all__ = [
     "RunLengthMethod",
     "RunLengthMetrics",
     "rule_automaton",
+    "history_path",
     "build_chain",
     "in_control_prob",
     "arl",
@@ -131,11 +133,22 @@ def _partition(t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache
+def _history_values(r: int, s: int) -> np.ndarray:
+    """History value of each state of the r-of-s rule, in state order
+    (descending): the last s - 1 flags as bits, newest lowest, fewer than
+    r of them set."""
+    mask = (1 << (s - 1)) - 1
+    values = np.array([v for v in range(mask, -1, -1) if bin(v).count("1") < r], dtype=np.int64)
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache
 def rule_automaton(r: int, s: int) -> RuleAutomaton:
     """The automaton of the r-of-s rule, built once per (r, s)."""
     width = s - 1
     mask = (1 << width) - 1
-    values = [v for v in range(mask, -1, -1) if bin(v).count("1") < r]
+    values = _history_values(r, s).tolist()
     index = {v: i for i, v in enumerate(values)}
     t_in = np.array([index[(v << 1) & mask] for v in values], dtype=np.int64)
     t_out = np.array(
@@ -155,6 +168,22 @@ def rule_automaton(r: int, s: int) -> RuleAutomaton:
         block=block,
         representatives=representatives,
     )
+
+
+def history_path(r: int, s: int, outside: Sequence[bool]) -> np.ndarray:
+    """Index into ``rule_automaton(r, s).states`` of the history after each
+    point of ``outside`` (True = beyond the limit), starting from the
+    all-inside history.  The points must not complete a signal."""
+    flags = np.asarray(outside, dtype=np.int64)
+    window = np.cumsum(flags)  # violations in the trailing s points
+    window[s:] -= window[:-s].copy()
+    if np.any(window >= r):
+        raise DomainError(f"the points complete a {r}-of-{s} signal")
+    value = np.zeros(flags.size, dtype=np.int64)
+    for lag in range(min(s - 1, flags.size)):
+        value[lag:] |= flags[: flags.size - lag] << lag
+    values = _history_values(r, s)  # descending
+    return values.size - 1 - np.searchsorted(values[::-1], value)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Phase-II monitoring tests against the worked-example dataset."""
 
 import csv
+import locale
 import os
 from collections.abc import Sequence
 
@@ -45,8 +46,8 @@ def row_by_row_reader(path):
 def outcome(reader, path):
     try:
         return list(reader(path))
-    except ConfigError as exc:
-        return str(exc)
+    except (ConfigError, csv.Error, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
 
 
 def brute_force_first_signal(values, r, s, limit, direction="upper"):
@@ -133,6 +134,7 @@ class TestColumnReader:
             pytest.param("index,mean,std,mean\n1,0.0,1.0,2.0\n", id="repeated-column"),
             pytest.param("index,mean,std\n1_0, 1.5,1_0\n", id="float-syntax"),
             pytest.param("index,mean,std\n123456789012345678901234567890,2.0,1.0\n", id="huge-index"),
+            pytest.param("index,mean,std\n-1,2.0,1.0\n9223372036854775809,2.0,1.0\n", id="index-past-int64"),
             pytest.param("index,mean,std\n", id="header-only"),
             pytest.param("", id="empty-file"),
             pytest.param("\nindex,mean,std\n1,2.0,1.0\n", id="blank-header"),
@@ -143,6 +145,52 @@ class TestColumnReader:
         path = tmp_path / "data.csv"
         path.write_text(text)
         assert outcome(read_phase2_csv, str(path)) == outcome(row_by_row_reader, str(path))
+
+    @pytest.mark.parametrize("bad_mean_row", [None, 3])
+    def test_reader_errors_as_row_by_row(self, tmp_path, bad_mean_row):
+        # a field past csv's size limit fails in the reader itself; a bad
+        # record before it is reported first
+        rows = [f"{i},2.0,1.0" for i in range(1, 6)]
+        if bad_mean_row is not None:
+            rows[bad_mean_row - 2] = f"{bad_mean_row - 1},0.0,1.0"
+        rows.insert(4, "5,2.0," + "1" * (csv.field_size_limit() + 1))
+        path = tmp_path / "data.csv"
+        path.write_text("index,mean,std\n" + "\n".join(rows) + "\n")
+        expected = outcome(row_by_row_reader, str(path))
+        assert expected[0] is (csv.Error if bad_mean_row is None else ConfigError)
+        assert outcome(read_phase2_csv, str(path)) == expected
+
+    @pytest.mark.parametrize("bad_mean_row", [None, 3])
+    @pytest.mark.parametrize("rows", [5, 400])
+    def test_undecodable_byte_as_row_by_row(self, tmp_path, rows, bad_mean_row):
+        # a byte the locale encoding cannot decode, in an extra column, in
+        # the first 8-KB chunk of text (5 rows) or past it (400 rows): the
+        # decoder's error is raised, after any bad record read before it
+        encoding = locale.getpreferredencoding(False)
+        try:
+            b"\xff".decode(encoding)
+        except UnicodeDecodeError:
+            pass
+        else:
+            pytest.skip(f"{encoding} decodes every byte")
+        lines = [b"note,index,mean,std"]
+        lines += [b"%s,%d,2.0,1.0" % (b"x" * 20, i) for i in range(1, rows + 1)]
+        if bad_mean_row is not None:
+            lines[bad_mean_row - 1] = b"x,%d,0.0,1.0" % (bad_mean_row - 1)
+        lines[-2] = b"\xff" + lines[-2]
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        expected = outcome(row_by_row_reader, str(path))
+        assert expected[0] is (ConfigError if rows == 400 and bad_mean_row else UnicodeDecodeError)
+        assert outcome(read_phase2_csv, str(path)) == expected
+
+    def test_index_column_keeps_integers(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("index,mean,std\n-1,2.0,1.0\n9223372036854775809,2.0,1.0\n")
+        assert read_phase2_csv(str(path)).index.tolist() == [-1, 2**63 + 1]
+        path.write_text("index,mean,std\n-1,2.0,1.0\n3,2.0,1.0\n")
+        index = read_phase2_csv(str(path)).index
+        assert index.dtype == np.int64 and index.tolist() == [-1, 3]
 
     def test_domain_error_before_conversion_error_reports_earlier_line(self, tmp_path):
         path = tmp_path / "data.csv"

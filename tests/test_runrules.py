@@ -21,6 +21,7 @@ from cvrunrules.runrules import (
     RunRule,
     arl,
     build_chain,
+    history_path,
     in_control_prob,
     rule_automaton,
     run_length_metrics,
@@ -262,6 +263,31 @@ class TestArl:
             window = np.concatenate((window[keep, 1:], out[keep, None]), axis=1)
         se = lengths.std(ddof=1) / math.sqrt(reps)
         assert abs(lengths.mean() - exact.arl) <= 3 * se
+
+
+class TestHistoryPath:
+    @pytest.mark.parametrize("r,s", ALL_RULES)
+    def test_follows_next_state_tables(self, r, s):
+        automaton = rule_automaton(r, s)
+        rng = np.random.default_rng(1000 * r + s)
+        for _ in range(20):
+            flags = rng.random(3 * s) < rng.uniform(0.1, 0.9)
+            state, walked = automaton.initial_index, []
+            for flag in flags.tolist():
+                state = (automaton.t_out if flag else automaton.t_in)[state]
+                if state < 0:
+                    break
+                walked.append(int(state))
+            assert history_path(r, s, flags[: len(walked)]).tolist() == walked
+            if len(walked) < flags.size:
+                with pytest.raises(DomainError):
+                    history_path(r, s, flags[: len(walked) + 1])
+
+    def test_states_are_the_last_flags(self):
+        states = rule_automaton(3, 4).states
+        path = history_path(3, 4, [True, False, True, False, False, True])
+        assert [states[i] for i in path] == [(0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1)]
+        assert history_path(3, 4, []).tolist() == []
 
 
 class TestLumping:
