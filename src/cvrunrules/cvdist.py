@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import sqrt
+from typing import Sequence
 
 from . import specfun
 from .errors import DomainError, GammaDomainError, as_integer
@@ -48,6 +49,14 @@ def _check_gamma(gamma: float, force: bool) -> None:
             f"gamma = {gamma} is outside the validity window (0, {GAMMA_VALIDITY_LIMIT}); "
             "pass force=True to evaluate anyway"
         )
+
+
+def _check_levels(n: int, gammas: Sequence[float], force: bool, profile: str) -> None:
+    as_integer(n, "subgroup size n", 2)
+    for gamma in gammas:
+        _check_gamma(gamma, force)
+    if profile not in _PROFILES:
+        raise DomainError(f"unknown profile {profile!r}, expected one of {_PROFILES}")
 
 
 def _f_params(n: int, gamma: float) -> NoncentralParams:
@@ -88,17 +97,24 @@ def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
 
 
 def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str = "exact") -> float:
-    """P(squared sample CV <= x); returns 0 for x <= 0."""
-    as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma, force)
-    if profile not in _PROFILES:
-        raise DomainError(f"unknown profile {profile!r}, expected one of {_PROFILES}")
+    """P(squared sample CV <= x); returns 0 for x <= 0 and 1 at +inf."""
+    _check_levels(n, [gamma], force, profile)
     if x <= 0.0:
         return 0.0
-    params = _f_params(n, gamma)
-    if profile == "cdflib":
-        return 1.0 - specfun.noncentral_f_cdf_cdflib(n / x, params)
-    return 1.0 - specfun.noncentral_f_cdf(n / x, params)
+    kernel = specfun.noncentral_f_cdf_cdflib if profile == "cdflib" else specfun.noncentral_f_cdf
+    return 1.0 - kernel(n / x, _f_params(n, gamma))
+
+
+def _cv2_cdf_levels(
+    x: float, n: int, gammas: Sequence[float], *, force: bool = False, profile: str = "exact"
+) -> list[float]:
+    """``cv2_cdf`` at one x for each CV level in ``gammas``, in order, from
+    one call of the batched kernel ``specfun._f_cdf_levels``."""
+    _check_levels(n, gammas, force, profile)
+    if x <= 0.0:
+        return [0.0] * len(gammas)
+    lams = [n / (gamma * gamma) for gamma in gammas]
+    return [1.0 - c for c in specfun._f_cdf_levels(n / x, 1.0, float(n - 1), lams, cdflib=profile == "cdflib")]
 
 
 def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:

@@ -11,10 +11,11 @@ run-rule chain alone, cached per (r, s, ARL0), then the k in [0, 20] whose
 limit has inside probability p*, from CDF calls alone.
 
 Every evaluation (``arl_at_shift``, ``earl``) goes through one helper: one
-CDF call per CV level gives the inside probability p, and
-``runrules.run_length_metrics`` solves the run-rule chain on its lumped
-matrix filled straight from p, so the full history chain is never built.
-The 64 EARL nodes go to the chain as one stack.
+batched CDF call (``specfun._f_cdf_levels``) gives the inside probability
+p at every CV level, and ``runrules.run_length_metrics`` solves the
+run-rule chain on its lumped matrix filled straight from p, so the full
+history chain is never built.  The 64 EARL nodes share one limit, so they
+share the kernel's beta column, and go to the chain as one stack.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class ChartDesign:
     moments: Cv2Moments
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.k) and math.isfinite(self.limit)):
+            raise DomainError(f"k and limit must be finite, got k={self.k}, limit={self.limit}")
         expected = _limit_for(self.k, self.rule.direction, self.moments)
         if abs(expected - self.limit) > 1e-9 * max(1.0, abs(self.limit)):
             raise DomainError(f"limit {self.limit} does not match k={self.k} and the moments")
@@ -87,8 +90,8 @@ class ShiftRange:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lo < self.hi):
-            raise DomainError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
+        if not (0.0 < self.lo < self.hi < math.inf):
+            raise DomainError(f"need 0 < lo < hi < inf, got [{self.lo}, {self.hi}]")
 
 
 DECREASING_SHIFTS = ShiftRange(0.5, 1.0)
@@ -111,12 +114,9 @@ def _metrics_at_levels(
     force: bool,
 ) -> list[RunLengthMetrics]:
     """Exact run-length metrics of a chart at each observed CV level: one
-    CDF call per level, then one ``run_length_metrics`` call for all."""
-    ps = [
-        min(max(runrules.in_control_prob(rule.direction, limit, n, g, force=force, profile=profile), 0.0), 1.0)
-        for g in gammas
-    ]
-    return runrules.run_length_metrics(rule, ps)
+    batched CDF call for all levels, then one ``run_length_metrics`` call."""
+    ps = runrules._in_control_probs(rule.direction, limit, n, gammas, force=force, profile=profile)
+    return runrules.run_length_metrics(rule, [min(max(p, 0.0), 1.0) for p in ps])
 
 
 def _root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:

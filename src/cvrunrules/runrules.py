@@ -52,11 +52,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cvdist import cv2_cdf
+from .cvdist import _cv2_cdf_levels, cv2_cdf
 from .errors import ChainSingularError, DomainError, as_integer
 
 __all__ = [
@@ -233,14 +233,34 @@ def in_control_prob(
 ) -> float:
     """Probability that a plotted squared sample CV falls inside the
     control region of a one-sided chart with the given limit."""
+    (p,) = _inside(direction, limit, 1, lambda x: [cv2_cdf(x, n, gamma, force=force, profile=profile)])
+    return p
+
+
+def _in_control_probs(
+    direction: Direction,
+    limit: float,
+    n: int,
+    gammas: Sequence[float],
+    *,
+    force: bool = False,
+    profile: str = "exact",
+) -> list[float]:
+    """``in_control_prob`` at each CV level of ``gammas``, from one batched
+    CDF call (``cvdist._cv2_cdf_levels``)."""
+    return _inside(direction, limit, len(gammas), lambda x: _cv2_cdf_levels(x, n, gammas, force=force, profile=profile))
+
+
+def _inside(direction: Direction, limit: float, count: int, cdf: Callable[[float], list[float]]) -> list[float]:
+    # The control region of each direction, given the CDFs at the limit.
     direction = Direction(direction)
     if direction is Direction.LOWER:
         if limit <= 0.0:
-            return 1.0  # the statistic is nonnegative
-        return 1.0 - cv2_cdf(limit, n, gamma, force=force, profile=profile)
+            return [1.0] * count  # the statistic is nonnegative
+        return [1.0 - c for c in cdf(limit)]
     if math.isinf(limit) and limit > 0:
-        return 1.0
-    return cv2_cdf(limit, n, gamma, force=force, profile=profile)
+        return [1.0] * count
+    return cdf(limit)
 
 
 @dataclass(frozen=True)

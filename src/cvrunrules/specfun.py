@@ -1,15 +1,15 @@
-"""Scalar special functions: regularized incomplete beta, noncentral t CDF,
+"""Special functions: regularized incomplete beta, noncentral t CDF,
 noncentral F CDF/PDF.
 
-All evaluators are pure deterministic scalar functions targeting 1e-10
-absolute accuracy or better.  The noncentral mixtures are anchored at the
-Poisson mode so that large noncentrality (lambda up to ~1e6 and beyond)
-never underflows: starting the recurrences at j = 0 would begin from
-weights that are exactly zero in double precision once lambda/2 > 745.
+All evaluators are pure deterministic functions targeting 1e-10 absolute
+accuracy or better.  The noncentral mixtures are anchored at the Poisson
+mode so that large noncentrality (lambda up to ~1e6 and beyond) never
+underflows: starting the recurrences at j = 0 would begin from weights
+that are exactly zero in double precision once lambda/2 > 745.
 
 The t CDF walks outward from the mode term by term.  The F CDF, the
 kernel of every chart evaluation, and the F density each sum a term window
-fixed in advance in one numpy pass: j0 +- (8.1 sqrt(lambda/2) + 22), the
+fixed in advance in numpy passes: j0 +- (8.1 sqrt(lambda/2) + 22), the
 width at which a Bernstein tail bound leaves at most 1e-14 of Poisson
 mass outside (Benton & Krishnamoorthy 2003, *CSDA* 43:249, on
 mode-centred evaluation).  The CDF's beta values are anchored by one
@@ -19,12 +19,19 @@ window longer than ``_TERM_CAP`` raises EvaluationError before anything
 is allocated.  Against a 40-digit mpmath sum the F CDF is within 1e-12
 absolute for lambda up to 24 000.
 
+The F CDF is batched over lambda (``_f_cdf_levels``): at one x the beta
+values depend on the term index alone, so nodes whose windows overlap
+share one column of them, and each node adds only its own weights and
+sum.  This is how an EARL's quadrature nodes and the shifts of a chart
+are evaluated; ``noncentral_f_cdf`` is the one-node case.
+
 ``noncentral_f_cdf_cdflib`` additionally reproduces the much looser
 truncation rule of the classic CDFLIB/DCDFLIB ``cumfnc`` routine (both
 summation directions stop once a term drops below 1e-4 of the running
-sum).  Several published control-chart tables were generated with that
-family of libraries; the compat evaluator lets chart designs match those
-tables digit for digit.  It is never the default.
+sum), bit for bit: the loop's recurrences run as sequential numpy
+accumulations.  Several published control-chart tables were generated
+with that family of libraries; the compat evaluator lets chart designs
+match those tables digit for digit.  It is never the default.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, sqrt
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +65,16 @@ _LOG_TINY = -700.0
 _T_TOL = 1e-14
 _CF_MAX_ITER = 400
 _FPMIN = 1e-300
+# Nodes of one batched CDF call whose windows overlap share one column
+# while the union of their windows stays within this many terms.  A group
+# holds three work arrays of that length; at 2**14 (128 KB each) that is
+# no more than one call at lambda = 2e6 holds, where a 2**16 budget raised
+# the benchmark's peak RSS by 6%.
+_GROUP_TERMS = 2**14
+# The legacy ``cumfnc`` stop rule and its central fallback.
+_CDFLIB_EPS = 1e-4
+_CDFLIB_TINY = 1e-20
+_CDFLIB_CENTRAL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -171,33 +189,44 @@ def _log_beta_prefactor(a: float, b: float, log_x: float, log_y: float) -> float
     return a * log_x + b * log_y + _lgamma_shift(big, small) - lgamma(small)
 
 
-def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Terms j = lo..hi holding all but _F_TAIL of the Poisson(mu) mass,
-    their weights relative to the mode term j0 = int(mu), and j0 - lo.
+def _poisson_window(mu: float) -> tuple[int, int]:
+    """Terms j = lo..hi holding all but _F_TAIL of the Poisson(mu) mass.
 
     Bernstein's inequalities for the Poisson law,
     P(X >= mu + t) <= exp(-t^2 / (2 (mu + t/3))) and
     P(X <= mu - t) <= exp(-t^2 / (2 mu)), put at most
     2 exp(-t^2 / (2 (mu + t/3))) outside mu +- t.  That equals _F_TAIL at
     t = L/3 + sqrt(L^2/9 + 2 L mu) with L = log(2 / _F_TAIL) ~ 32.9, i.e.
-    about 8.1 sqrt(mu) + 22 terms on each side.  The weights are
-    cumulative products of their ratios from the mode, which avoids the
-    lgamma cancellation of exp(-mu + j0 log(mu) - lgamma(j0 + 1)); callers
-    normalise over the window.  A window over ``_TERM_CAP`` terms raises
-    EvaluationError before anything is allocated.
+    about 8.1 sqrt(mu) + 22 terms on each side.  A window over
+    ``_TERM_CAP`` terms raises EvaluationError, so callers that ask for
+    every window first fail before anything is allocated.
     """
     big_l = log(2.0 / _F_TAIL)
     t = big_l / 3.0 + sqrt(big_l * big_l / 9.0 + 2.0 * big_l * mu)
     lo, hi = max(0, int(mu - t)), int(mu + t) + 1
     if hi - lo + 1 > _TERM_CAP:
         raise EvaluationError(f"noncentral F window of {hi - lo + 1} terms exceeds {_TERM_CAP} (lambda={2 * mu})")
-    mode = int(mu) - lo
-    j = np.arange(lo, hi + 1, dtype=float)
+    return lo, hi
+
+
+def _poisson_weights(j: np.ndarray, mu: float, mode: int) -> np.ndarray:
+    """Poisson(mu) weights of the terms ``j`` (consecutive integers as
+    floats) relative to the one at index ``mode``.
+
+    The weights are cumulative products of their ratios from the mode,
+    (j + 1) / mu below it and mu / j above, which avoids the lgamma
+    cancellation of exp(-mu + j0 log(mu) - lgamma(j0 + 1)); callers
+    normalise them.
+    """
     weights = np.empty_like(j)
+    below = weights[:mode][::-1]
+    np.divide(j[mode:0:-1], mu, out=below)
+    np.multiply.accumulate(below, out=below)
+    above = weights[mode + 1 :]
+    np.divide(mu, j[mode + 1 :], out=above)
+    np.multiply.accumulate(above, out=above)
     weights[mode] = 1.0
-    np.cumprod(j[mode:0:-1] / mu, out=weights[:mode][::-1])
-    np.cumprod(mu / j[mode + 1 :], out=weights[mode + 1 :])
-    return j, weights, mode
+    return weights
 
 
 def _log_ibeta_decrement(a: float, b: float, x: float) -> float:
@@ -296,78 +325,320 @@ def noncentral_t_cdf(x: float, nu: float, delta: float) -> float:
 
 
 def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
-    """CDF of the noncentral F distribution at x (0 for x <= 0).
+    """CDF of the noncentral F distribution at x (0 for x <= 0, 1 at +inf).
 
-    Poisson(lambda/2)-weighted sum of I_u(df1/2 + j, df2/2), evaluated in
-    one numpy pass over the term window of ``_poisson_window`` (dropped
-    Poisson mass <= 1e-14, so the truncation error is <= 1e-14 absolute).
-    The beta values come from one continued fraction at the Poisson mode
-    j0 and the decrements T_j = I(a0 + j) - I(a0 + j + 1) on both sides,
-    summed in log space so that an underflowed T_j0 never meets an
-    overflowed ratio product.  The window's weights are normalised over it.
-
-    Raises EvaluationError, before any work, when the window exceeds
+    Poisson(lambda/2)-weighted sum of I_u(df1/2 + j, df2/2) over the term
+    window of ``_poisson_window`` (dropped Poisson mass <= 1e-14, so the
+    truncation error is <= 1e-14 absolute): the one-node case of
+    ``_f_cdf_levels``.  Raises DomainError for a NaN x, and
+    EvaluationError, before any work, when the window exceeds
     ``_TERM_CAP`` terms (lambda above about 7.6e9).
     """
+    return _f_cdf_levels(x, p.df1, p.df2, [p.noncentrality])[0]
+
+
+def noncentral_f_cdf_cdflib(x: float, p: NoncentralParams) -> float:
+    """Noncentral F CDF with classic CDFLIB ``cumfnc`` truncation semantics.
+
+    Replicates the legacy routine's truncation exactly: the Poisson mode
+    index is truncated (floored to 1), and each summation direction stops
+    as soon as a term falls below 1e-4 of the running sum.  The result
+    therefore carries a deliberate relative error of order 1e-3 to 1e-4
+    in the distribution tails; use it only to match numbers produced by
+    software built on that library.  The one-node case of
+    ``_f_cdf_levels`` with ``cdflib=True``, equal to the legacy loop bit
+    for bit wherever 0 < u < 1 (at u = 1 it returns 1, where the loop
+    returned its truncated weight sum).
+    """
+    return _f_cdf_levels(x, p.df1, p.df2, [p.noncentrality], cdflib=True)[0]
+
+
+def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cdflib: bool = False) -> list[float]:
+    """CDF at x of F(df1, df2, lambda) for each lambda in ``lams``, in order.
+
+    Every node shares x and the degrees of freedom, so the values that
+    depend on the term index j alone form one column for all of them: the
+    beta values I_u(df1/2 + j, df2/2), or for ``cdflib`` the legacy loop's
+    beta-decrement ratios.  The nodes are sorted by lambda, and consecutive
+    ones whose windows overlap are grouped while the union stays within
+    ``_GROUP_TERMS``; each group builds its column once, and each node
+    sums its own slice with its own Poisson weights (``_mixture_sums``;
+    with ``cdflib``, ``_cumfnc_sums``).  One node is the scalar kernel: a
+    batch gives what one call per lambda gives, to 1e-13 (exact profile)
+    or bit for bit (``cdflib``).
+
+    x and every lambda are checked before any work: a NaN x or a lambda
+    that is negative or not finite raises DomainError, and a window over
+    ``_TERM_CAP`` terms raises EvaluationError before anything is
+    allocated.  df1 and df2 are taken as positive and finite.
+    """
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
+    for lam in lams:
+        if not 0.0 <= lam < math.inf:
+            raise DomainError(f"noncentrality must be finite and >= 0, got {lam}")
+    count = len(lams)
     if x <= 0.0:
-        return 0.0
-    u = p.df1 * x / (p.df1 * x + p.df2)
+        return [0.0] * count
+    if x == math.inf:
+        return [1.0] * count
+    u = df1 * x / (df1 * x + df2)
     if u >= 1.0:
-        return 1.0
+        return [1.0] * count
     if u <= 0.0:
-        return 0.0
-    a0 = 0.5 * p.df1
-    b = 0.5 * p.df2
-    lam = p.noncentrality
-    if lam == 0.0:
-        return reg_inc_beta(u, a0, b)
+        return [0.0] * count
+    # The legacy routine falls back to the central law below lambda = 1e-10.
+    central = _CDFLIB_CENTRAL if cdflib else 0.0
+    out = [0.0] * count
+    nodes = sorted((0.5 * lam, i) for i, lam in enumerate(lams) if lam > central)
+    if len(nodes) < count:
+        value = reg_inc_beta(u, 0.5 * df1, 0.5 * df2)
+        for i, lam in enumerate(lams):
+            if not lam > central:
+                out[i] = value
+    windows = [_poisson_window(mu) for mu, _ in nodes]
+    groups: list[tuple[int, int, list[int]]] = []
+    for k, (lo, hi) in enumerate(windows):
+        # A window that misses the group's union would only lengthen its column.
+        if groups and lo <= groups[-1][1] and max(hi, groups[-1][1]) - min(lo, groups[-1][0]) < _GROUP_TERMS:
+            g_lo, g_hi, members = groups[-1]
+            groups[-1] = (min(lo, g_lo), max(hi, g_hi), members + [k])
+        else:
+            groups.append((lo, hi, [k]))
+    sums = _cumfnc_sums if cdflib else _mixture_sums
+    for (_, i), total in zip(nodes, sums(x, df1, df2, [mu for mu, _ in nodes], windows, groups)):
+        out[i] = min(max(total, 0.0), 1.0)
+    return out
+
+
+def _mixture_sums(
+    x: float, df1: float, df2: float, mus: list[float], windows: list[tuple[int, int]], groups: list
+) -> list[float]:
+    # The exact profile: per group, one beta column anchored at the middle
+    # node's mode; per node, its weights normalised over its own window.
+    u = df1 * x / (df1 * x + df2)
     # 1 - u straight from x: near u = 1 the rounding of u alone moves
     # a0 + j0 times log(u) by ~1e-10 at lambda = 2e6.
-    v = p.df2 / (p.df1 * x + p.df2)
+    v = df2 / (df1 * x + df2)
     log_u, log_v = (log(u), log1p(-u)) if u < 0.5 else (log1p(-v), log(v))
-    half = 0.5 * lam
-    j, weights, mode = _poisson_window(half)
-    j0 = int(half)
-    a_m = a0 + j0
-    log_bt = _log_beta_prefactor(a_m, b, log_u, log_v)
+    a0 = 0.5 * df1
+    b = 0.5 * df2
+    totals = []
+    for g_lo, g_hi, members in groups:
+        j = np.arange(g_lo, g_hi + 1, dtype=float)
+        anchor = int(mus[members[len(members) // 2]])
+        column = _beta_column(j, anchor - g_lo, a0, b, u, v, log_u, log_v)
+        for k in members:
+            lo, hi = windows[k]
+            mode = int(mus[k])
+            window = slice(lo - g_lo, hi - g_lo + 1)
+            total = _mixture_sum(j[window], column[window], mus[k], mode - lo)
+            if mode != anchor:
+                # Each node keeps the anchor one call would use: near u = 1
+                # the continued fraction is good to ~1e-12 only, with an error
+                # that differs from mode to mode.  Moving the anchor shifts
+                # the whole column, so the normalised sum shifts alike.
+                total += _beta_anchor(a0 + mode, b, u, v, log_u, log_v)[0] - float(column[mode - g_lo])
+            totals.append(total)
+        del j, column  # before the next group allocates its own
+    return totals
+
+
+def _mixture_sum(j: np.ndarray, column: np.ndarray, mu: float, mode: int) -> float:
+    # The Poisson(mu) mixture of the beta values ``column`` at the terms
+    # ``j``, with its weights normalised over them.
+    weights = _poisson_weights(j, mu, mode)
+    mass = float(weights.sum())
+    # A plain product and sum: a BLAS dot of a long window wakes every BLAS
+    # thread and can cost milliseconds.
+    weights *= column
+    return float(weights.sum()) / mass
+
+
+def _beta_anchor(a: float, b: float, u: float, v: float, log_u: float, log_v: float) -> tuple[float, float]:
+    """I_u(a, b) and log(u^a v^b / B(a, b)), v = 1 - u, by the continued
+    fraction that suits u and a."""
+    log_bt = _log_beta_prefactor(a, b, log_u, log_v)
     # Each continued fraction converges fast below its switch point.  Near
     # u = 1 the one in u amplifies the rounding of u (1e-11 at lambda = 2e6),
     # so the one in the smaller of u, v is kept up to one beta standard
     # deviation past its switch.
     if u <= v:
-        in_u = u * (a_m + b + 2.0) < a_m + 1.0 + sqrt(a_m + 1.0)
+        in_u = u * (a + b + 2.0) < a + 1.0 + sqrt(a + 1.0)
     else:
-        in_u = v * (a_m + b + 2.0) >= b + 1.0 + sqrt(b + 1.0)
-    i0 = _inc_beta_cf(u, v, a_m, b, log_bt, in_u)
+        in_u = v * (a + b + 2.0) >= b + 1.0 + sqrt(b + 1.0)
+    return _inc_beta_cf(u, v, a, b, log_bt, in_u), log_bt
 
-    # Three window-length arrays, updated in place to keep the peak memory
-    # of a lambda = 8e6 call under 1 MB: j, the weights, and ``terms``,
-    # which holds in turn log T_(j-1) - log T_j0, T_(j-1), the partial sums
-    # T_lo + ... + T_(j-1), I(a0 + j) and the weighted terms.
+
+def _beta_column(
+    j: np.ndarray, mode: int, a0: float, b: float, u: float, v: float, log_u: float, log_v: float
+) -> np.ndarray:
+    """I_u(a0 + j, b) for the consecutive integers ``j`` (as floats), with
+    the anchor j[mode] not the last of them.
+
+    ``_beta_anchor`` gives the value at the anchor; the others come from
+    the decrements T_j = I(a0 + j) - I(a0 + j + 1) on both sides, summed
+    in log space so that an underflowed T at the anchor never meets an
+    overflowed ratio product.  Two work arrays beside ``j``, updated in
+    place: a scratch array and the column, which holds in turn
+    log T_(j-1) - log T_lo, T_(j-1), the partial sums T_lo + ... + T_(j-1)
+    and I(a0 + j).
+    """
+    anchor = int(j[mode])
+    a_m = a0 + anchor
+    i0, log_bt = _beta_anchor(a_m, b, u, v, log_u, log_v)
+
     # T_j / T_(j-1) = u (1 + (b - 1) / (a0 + j))
-    terms = np.zeros_like(j)
-    np.add(j[1:-1], a0, out=terms[2:])
-    np.divide(b - 1.0, terms[2:], out=terms[2:])
-    np.log1p(terms[2:], out=terms[2:])
-    np.cumsum(terms, out=terms)
-    shift = log_bt - log(a_m) - terms[mode + 1]
-    j -= j0
-    j *= log_u
-    j += shift
-    terms[1:] += j[:-1]
+    column = np.zeros_like(j)
+    np.add(j[1:-1], a0, out=column[2:])
+    np.divide(b - 1.0, column[2:], out=column[2:])
+    np.log1p(column[2:], out=column[2:])
+    np.add.accumulate(column, out=column)
+    shift = log_bt - log(a_m) - column[mode + 1]
+    linear = np.subtract(j, anchor)
+    linear *= log_u
+    linear += shift
+    column[1:] += linear[:-1]
+    del linear
     # Terms below e^-700 add nothing visible; clamping them keeps exp and
-    # cumsum off subnormals, which run about 100x slower.
-    np.maximum(terms, _LOG_TINY, out=terms)
-    np.exp(terms, out=terms)
-    terms[0] = 0.0
-    np.cumsum(terms, out=terms)
-    np.subtract(i0 + terms[mode], terms, out=terms)
-    np.clip(terms, 0.0, 1.0, out=terms)
-    # A plain product and sum: a BLAS dot of a long window wakes every
-    # BLAS thread and can cost milliseconds.
-    terms *= weights
-    total = float(terms.sum()) / float(weights.sum())
-    return min(max(total, 0.0), 1.0)
+    # the sums off subnormals, which run about 100x slower.
+    np.maximum(column, _LOG_TINY, out=column)
+    np.exp(column, out=column)
+    column[0] = 0.0
+    np.add.accumulate(column, out=column)
+    np.subtract(i0 + column[mode], column, out=column)
+    return column
+
+
+def _cumfnc_sums(
+    x: float, df1: float, df2: float, mus: list[float], windows: list[tuple[int, int]], groups: list
+) -> list[float]:
+    # The cdflib profile: per group, the two beta-decrement ratio columns;
+    # per node, ``_cumfnc`` over its window, widened if a stop falls outside.
+    prod = df1 * x
+    dsum = df2 + prod
+    yy = df2 / dsum
+    if yy > 0.5:
+        xx = prod / dsum
+        yy = 1.0 - xx
+    else:
+        xx = 1.0 - yy
+    a0 = 0.5 * df1
+    b = 0.5 * df2
+    totals = []
+    for g_lo, g_hi, members in groups:
+        columns = _cumfnc_ratios(g_lo, g_hi, a0, b, xx)
+        for k in members:
+            lo, hi = windows[k]
+            total = _cumfnc(mus[k], lo, hi, g_lo, columns, xx, yy, a0, b)
+            while total is None:
+                width = hi - lo + 1
+                lo, hi = max(0, lo - width), hi + width
+                if hi - lo + 1 > _TERM_CAP:
+                    raise EvaluationError(
+                        f"cdflib sum of {hi - lo + 1} terms exceeds {_TERM_CAP} (lambda={2 * mus[k]})"
+                    )
+                total = _cumfnc(mus[k], lo, hi, lo, _cumfnc_ratios(lo, hi, a0, b, xx), xx, yy, a0, b)
+            totals.append(total)
+        del columns  # before the next group allocates its own
+    return totals
+
+
+def _cumfnc_ratios(lo: int, hi: int, a0: float, b: float, xx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j = lo..hi and the ratios by which the legacy loop steps its beta
+    decrements onto a = a0 + j: T(a) / T(a + 1) going down and
+    T(a - 1) / T(a - 2) going up, written as the loop writes them."""
+    j = np.arange(lo, hi + 1, dtype=float)
+    a = j + a0
+    up = a + b
+    down = up * xx
+    up -= 2.0
+    up *= xx
+    a += 1.0
+    np.divide(a, down, out=down)
+    a -= 2.0
+    if lo == 0:
+        a[0] = 1.0  # the up ratio at j = 0 is never used, and a0 = 1 would divide by 0
+    up /= a
+    return j, down, up
+
+
+def _cumfnc(
+    mu: float,
+    lo: int,
+    hi: int,
+    g_lo: int,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    xx: float,
+    yy: float,
+    a0: float,
+    b: float,
+) -> Optional[float]:
+    """The legacy ``cumfnc`` sum over the terms j = lo..hi, or None when a
+    stop index falls outside them; ``columns`` come from ``_cumfnc_ratios``
+    starting at j = g_lo.
+
+    The centre is icent = int(mu) floored to 1.  The down direction adds
+    terms while the last one added is at least 1e-4 of the running sum (and
+    that sum at least 1e-20), and stops at j = 0; the up direction always
+    adds its first term, then goes on by the same test.  Each of the loop's
+    recurrences (the Poisson weight, the beta decrement, the beta value and
+    the running sum) is one sequential ``accumulate`` over the same
+    operands in the same order, so every term, stop index and total is
+    the loop's own, bit for bit.
+    """
+    j, down, up = columns
+    icent = max(int(mu), 1)
+    c, first, last = icent - g_lo, lo - g_lo, hi - g_lo
+    centwt = exp(-mu + icent * log(mu) - lgamma(icent + 1))
+    adn = a0 + icent
+    betdn = reg_inc_beta(xx, adn, b)
+
+    xmult = np.empty(c - first + 1)
+    xmult[0] = centwt
+    np.divide(j[c:first:-1], mu, out=xmult[1:])
+    np.multiply.accumulate(xmult, out=xmult)
+    beta = np.empty_like(xmult)
+    beta[0] = exp(lgamma(adn + b) - lgamma(adn + 1.0) - lgamma(b) + adn * log(xx) + b * log(yy))
+    beta[1:] = down[first:c][::-1]
+    np.multiply.accumulate(beta, out=beta)
+    beta[0] = betdn
+    np.add.accumulate(beta, out=beta)
+    terms = np.multiply(xmult, beta, out=xmult)
+    sums = np.add.accumulate(terms, out=beta)
+    if sums[0] < _CDFLIB_TINY:  # the sum never falls going down: terms are >= 0
+        k = 0
+    else:
+        stop = terms < sums * _CDFLIB_EPS
+        k = int(stop.argmax())
+        if not stop[k]:
+            if lo > 0:
+                return None
+            k = c - first  # the loop ends at j = 0
+    total = float(sums[k])
+
+    if last == c:
+        return None
+    xmult = np.empty(last - c + 1)
+    xmult[0] = centwt
+    np.divide(mu, j[c + 1 : last + 1], out=xmult[1:])
+    np.multiply.accumulate(xmult, out=xmult)
+    beta = np.empty_like(xmult)
+    beta[0] = exp(lgamma(adn - 1.0 + b) - lgamma(adn) - lgamma(b) + (adn - 1.0) * log(xx) + b * log(yy))
+    beta[1:] = up[c + 1 : last + 1]
+    np.multiply.accumulate(beta, out=beta)
+    beta[0] = betdn
+    np.subtract.accumulate(beta, out=beta)
+    terms = np.multiply(xmult, beta, out=xmult)
+    terms[0] = total
+    sums = np.add.accumulate(terms, out=beta)
+    stop = terms[1:] < sums[1:] * _CDFLIB_EPS
+    if total < 2.0 * _CDFLIB_TINY:  # rounding can make a term slightly negative
+        stop |= sums[1:] < _CDFLIB_TINY
+    k = int(stop.argmax())
+    if not stop[k]:
+        return None
+    return float(sums[k + 1])
 
 
 def noncentral_f_pdf(x: float, p: NoncentralParams) -> float:
@@ -394,81 +665,17 @@ def noncentral_f_pdf(x: float, p: NoncentralParams) -> float:
     a0 = 0.5 * p.df1
     b = 0.5 * p.df2
     half = 0.5 * p.noncentrality
-    j, weights, mode = _poisson_window(half)
+    lo, hi = _poisson_window(half)
     j0 = int(half)
+    mode = j0 - lo
+    j = np.arange(lo, hi + 1, dtype=float)
     log_d0 = _log_beta_prefactor(a0 + j0, b, log_u, log_v) - log_u - log_v
     log_d = np.zeros_like(j)
     np.log1p(b / (a0 + j[:-1]), out=log_d[1:])
-    np.cumsum(log_d, out=log_d)
+    np.add.accumulate(log_d, out=log_d)
     log_d += (j - j0) * log_u + (log_d0 - log_d[mode])
     np.maximum(log_d, _LOG_TINY, out=log_d)
     terms = np.exp(log_d, out=log_d)
+    weights = _poisson_weights(j, half, mode)
     terms *= weights
     return float(terms.sum()) / float(weights.sum()) * dudx
-
-
-def noncentral_f_cdf_cdflib(x: float, p: NoncentralParams) -> float:
-    """Noncentral F CDF with classic CDFLIB ``cumfnc`` truncation semantics.
-
-    Replicates the legacy routine's behaviour exactly: the Poisson mode
-    index is truncated (floored to 1), and each summation direction stops
-    as soon as a term falls below 1e-4 of the running sum.  The result
-    therefore carries a deliberate relative error of order 1e-3 to 1e-4
-    in the distribution tails; use it only to match numbers produced by
-    software built on that library.
-    """
-    if x <= 0.0:
-        return 0.0
-    lam = p.noncentrality
-    if lam < 1e-10:
-        return noncentral_f_cdf(x, NoncentralParams(p.df1, p.df2, 0.0))
-
-    eps = 1e-4
-    xnonc = lam / 2.0
-    icent = int(xnonc)
-    if icent == 0:
-        icent = 1
-    centwt = exp(-xnonc + icent * log(xnonc) - lgamma(icent + 1))
-    prod = p.df1 * x
-    dsum = p.df2 + prod
-    yy = p.df2 / dsum
-    if yy > 0.5:
-        xx = prod / dsum
-        yy = 1.0 - xx
-    else:
-        xx = 1.0 - yy
-    adn = 0.5 * p.df1 + icent
-    b = 0.5 * p.df2
-    betdn = reg_inc_beta(xx, adn, b)
-    aup = adn
-    betup = betdn
-    total = centwt * betdn
-
-    def qsmall(term: float, acc: float) -> bool:
-        return acc < 1e-20 or term < eps * acc
-
-    xmult = centwt
-    i = icent
-    dnterm = exp(lgamma(adn + b) - lgamma(adn + 1.0) - lgamma(b) + adn * log(xx) + b * log(yy))
-    while not qsmall(xmult * betdn, total) and i > 0:
-        xmult *= i / xnonc
-        i -= 1
-        adn -= 1.0
-        dnterm = (adn + 1.0) / ((adn + b) * xx) * dnterm
-        betdn += dnterm
-        total += xmult * betdn
-
-    i = icent + 1
-    xmult = centwt
-    upterm = exp(lgamma(aup - 1.0 + b) - lgamma(aup) - lgamma(b) + (aup - 1.0) * log(xx) + b * log(yy))
-    first = True
-    while first or not qsmall(xmult * betup, total):
-        first = False
-        xmult *= xnonc / i
-        i += 1
-        aup += 1.0
-        upterm = (aup + b - 2.0) * xx / (aup - 1.0) * upterm
-        betup -= upterm
-        total += xmult * betup
-
-    return min(max(total, 0.0), 1.0)

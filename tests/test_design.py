@@ -98,6 +98,21 @@ class TestSolveDesign:
         with pytest.raises(DomainError):
             solve_design(rule(2, 3, "upper"), ProcessModel(0.1, 5), arl0=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_k_or_limit_rejected(self, bad):
+        # a NaN limit used to pass the limit/k match (NaN compares false)
+        # and fail later as a continued fraction that did not converge
+        from cvrunrules.cvdist import moments_for_gamma
+        from cvrunrules.design import ChartDesign
+
+        moments = moments_for_gamma(0.1, 5)
+        with pytest.raises(DomainError, match="must be finite"):
+            ChartDesign.from_limit(rule(2, 3, "upper"), bad, moments, DEFAULT_ARL0)
+        with pytest.raises(DomainError, match="must be finite"):
+            ChartDesign(rule=rule(2, 3, "upper"), k=bad, limit=0.03, arl0_target=DEFAULT_ARL0, moments=moments)
+        with pytest.raises(DomainError, match="must be finite"):
+            ChartDesign(rule=rule(2, 3, "upper"), k=1.0, limit=bad, arl0_target=DEFAULT_ARL0, moments=moments)
+
 
 class TestPStar:
     """The in-control ARL depends on k only through the inside probability,
@@ -311,6 +326,38 @@ class TestEarl:
     def test_invalid_range(self):
         with pytest.raises(DomainError):
             ShiftRange(1.0, 0.5)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, np.inf), (1.0, np.nan), (np.nan, 2.0), (-np.inf, 2.0)])
+    def test_non_finite_range_rejected(self, lo, hi):
+        # an infinite bound used to reach the quadrature and fail there
+        # with "tau must be positive, got nan"
+        with pytest.raises(DomainError, match="need 0 < lo < hi < inf"):
+            ShiftRange(lo, hi)
+
+    @pytest.mark.parametrize(
+        "r,s,direction,gamma0,n,me,profile",
+        [
+            (2, 3, "upper", 0.1, 5, None, "exact"),
+            (3, 4, "lower", 0.05, 15, MeasurementErrorModel(theta=0.05, eta=0.28), "cdflib"),
+            (2, 3, "upper", 0.01, 200, None, "exact"),
+            (1, 1, "lower", 0.02, 200, None, "cdflib"),
+        ],
+    )
+    def test_batched_nodes_match_one_node(self, r, s, direction, gamma0, n, me, profile):
+        # the EARL nodes' inside probabilities from one batched call against
+        # one in_control_prob call per node
+        from cvrunrules import merror, runrules
+
+        pm = ProcessModel(gamma0, n)
+        me = me if me is not None else MeasurementErrorModel.identity()
+        d = solve_design(rule(r, s, direction), pm, me, profile=profile)
+        shift_range = INCREASING_SHIFTS if direction == "upper" else DECREASING_SHIFTS
+        x, _ = _gauss_legendre(64)
+        half, mid = 0.5 * (shift_range.hi - shift_range.lo), 0.5 * (shift_range.hi + shift_range.lo)
+        gammas = [merror.observed_cv_shifted(gamma0, ShiftSpec.from_tau(half * xi + mid, gamma0), me) for xi in x]
+        batch = runrules._in_control_probs(d.rule.direction, d.limit, n, gammas, force=True, profile=profile)
+        one = [runrules.in_control_prob(d.rule.direction, d.limit, n, g, force=True, profile=profile) for g in gammas]
+        assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
 
 
 class TestSweep:

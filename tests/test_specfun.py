@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from cvrunrules import specfun
 from cvrunrules.cvdist import cv2_cdf
 from cvrunrules.errors import DomainError, EvaluationError
 from cvrunrules.specfun import (
     NoncentralParams,
+    _f_cdf_levels,
     noncentral_f_cdf,
     noncentral_f_cdf_cdflib,
     noncentral_f_pdf,
@@ -66,6 +68,70 @@ def _mp_noncentral_f_cdf(x, df1, df2, lam):
             a -= 1
             total += w * i
         return float(total)
+
+
+def cumfnc_loop(x, p):
+    """The scalar CDFLIB ``cumfnc`` loop that ``noncentral_f_cdf_cdflib``
+    replaced, kept as its reference: the Poisson mode index is floored to 1
+    and each summation direction stops once a term falls below 1e-4 of the
+    running sum."""
+    from math import exp, lgamma, log
+
+    if x <= 0.0:
+        return 0.0
+    lam = p.noncentrality
+    if lam < 1e-10:
+        return noncentral_f_cdf(x, NoncentralParams(p.df1, p.df2, 0.0))
+
+    eps = 1e-4
+    xnonc = lam / 2.0
+    icent = int(xnonc)
+    if icent == 0:
+        icent = 1
+    centwt = exp(-xnonc + icent * log(xnonc) - lgamma(icent + 1))
+    prod = p.df1 * x
+    dsum = p.df2 + prod
+    yy = p.df2 / dsum
+    if yy > 0.5:
+        xx = prod / dsum
+        yy = 1.0 - xx
+    else:
+        xx = 1.0 - yy
+    adn = 0.5 * p.df1 + icent
+    b = 0.5 * p.df2
+    betdn = reg_inc_beta(xx, adn, b)
+    aup = adn
+    betup = betdn
+    total = centwt * betdn
+
+    def qsmall(term, acc):
+        return acc < 1e-20 or term < eps * acc
+
+    xmult = centwt
+    i = icent
+    dnterm = exp(lgamma(adn + b) - lgamma(adn + 1.0) - lgamma(b) + adn * log(xx) + b * log(yy))
+    while not qsmall(xmult * betdn, total) and i > 0:
+        xmult *= i / xnonc
+        i -= 1
+        adn -= 1.0
+        dnterm = (adn + 1.0) / ((adn + b) * xx) * dnterm
+        betdn += dnterm
+        total += xmult * betdn
+
+    i = icent + 1
+    xmult = centwt
+    upterm = exp(lgamma(aup - 1.0 + b) - lgamma(aup) - lgamma(b) + (aup - 1.0) * log(xx) + b * log(yy))
+    first = True
+    while first or not qsmall(xmult * betup, total):
+        first = False
+        xmult *= xnonc / i
+        i += 1
+        aup += 1.0
+        upterm = (aup + b - 2.0) * xx / (aup - 1.0) * upterm
+        betup -= upterm
+        total += xmult * betup
+
+    return min(max(total, 0.0), 1.0)
 
 
 def _mp_noncentral_f_pdf(x, df1, df2, lam):
@@ -423,3 +489,143 @@ class TestCdflibProfile:
         for (x, d2, lam) in [(1.0, 4.0, 5.0), (40.0, 9.0, 80.0), (700.0, 14.0, 900.0)]:
             p = NoncentralParams(1.0, d2, lam)
             assert noncentral_f_cdf(x, p) == pytest.approx(st.ncf.cdf(x, 1, d2, lam), abs=1e-9)
+
+
+# Noncentralities for the batched kernel: lambda = 0, mu < 1 (the cdflib
+# centre floored to 1), below the cdflib central fallback, and up to 2e6.
+_LAMBDAS = hs.one_of(
+    hs.just(0.0),
+    hs.floats(0.0, 1e-10),
+    hs.floats(0.0, 2.0),
+    hs.floats(2.0, 500.0),
+    hs.floats(500.0, 2e6),
+)
+
+
+class TestBatchedKernel:
+    """``_f_cdf_levels``: one beta column per group of nodes, both profiles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        df2=hs.floats(1.0, 400.0),
+        lams=hs.lists(_LAMBDAS, min_size=1, max_size=12),
+        spread=hs.floats(0.0, 1.0),
+        scale=hs.one_of(hs.floats(0.0, 3.0), hs.floats(1e-12, 1e-6), hs.just(1e300)),
+        cdflib=hs.booleans(),
+    )
+    def test_property_batch_equals_one_node(self, df2, lams, spread, scale, cdflib):
+        # Nodes close together share a group (as EARL's do); duplicates and
+        # x -> 0 and u -> 1 are drawn too.
+        top = max(lams)
+        lams = lams + [top * (1.0 - spread * i / 16.0) for i in range(8)] + lams[:2]
+        x = scale * (top + 1.0)
+        batch = _f_cdf_levels(x, 1.0, df2, lams, cdflib=cdflib)
+        one = [_f_cdf_levels(x, 1.0, df2, [lam], cdflib=cdflib)[0] for lam in lams]
+        assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
+        public = noncentral_f_cdf_cdflib if cdflib else noncentral_f_cdf
+        assert one[0] == public(x, NoncentralParams(1.0, df2, lams[0]))
+
+    @pytest.mark.parametrize("cdflib", [False, True])
+    def test_earl_nodes_match_one_node(self, cdflib):
+        # the 64 nodes of a large-lambda EARL (n = 200, gamma from 0.01 to 0.02)
+        x, w = np.polynomial.legendre.leggauss(64)
+        lams = [200.0 / (0.01 * (1.5 + 0.5 * xi)) ** 2 for xi in x]
+        for f in (1.5e6, 8e5, 6e5):
+            batch = _f_cdf_levels(f, 1.0, 199.0, lams, cdflib=cdflib)
+            one = [_f_cdf_levels(f, 1.0, 199.0, [lam], cdflib=cdflib)[0] for lam in lams]
+            assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "x,lams",
+        [
+            (2463.1, [1490.6, 1650.0, 1819.3, 1821.0, 1840.4, 2177.0, 2321.0, 2649.0, 2662.6, 2751.3]),
+            (296.3, [227.0, 227.5, 247.0, 249.3, 250.4, 257.2, 262.4, 283.8, 330.7, 336.7, 355.3]),
+            (6996.9, [4481.9, 4854.9, 6148.8, 6388.9, 7633.6, 7769.6, 8550.2]),
+        ],
+    )
+    def test_each_node_keeps_its_own_anchor(self, x, lams):
+        # one shared anchor per group put these 2.2e-13 to 2.4e-13 away from
+        # one call per node (df2 = 199): the anchors' own errors differ
+        batch = _f_cdf_levels(x, 1.0, 199.0, lams)
+        one = [_f_cdf_levels(x, 1.0, 199.0, [lam])[0] for lam in lams]
+        assert np.max(np.abs(np.subtract(batch, one))) <= 5e-14
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        df2=hs.floats(1.0, 400.0),
+        lam=_LAMBDAS,
+        scale=hs.one_of(hs.floats(0.0, 3.0), hs.floats(1e-9, 1e-3)),
+    )
+    def test_property_cdflib_is_the_legacy_loop(self, df2, lam, scale):
+        # every recurrence of the loop is one sequential accumulate over the
+        # same operands, so the totals agree bit for bit, not just to 1e-13
+        x = scale * (lam + 1.0)
+        p = NoncentralParams(1.0, df2, lam)
+        assert noncentral_f_cdf_cdflib(x, p) == cumfnc_loop(x, p)
+
+    def test_cdflib_widens_a_short_window(self, monkeypatch):
+        # with windows far narrower than the legacy stops, both directions
+        # must be widened until each stop falls inside
+        monkeypatch.setattr(specfun, "_F_TAIL", 0.5)
+        for lam, df2, x in ((500.0, 4.0, 30.0), (500.0, 4.0, 500.0), (6000.0, 14.0, 13590.42), (250.0, 49.0, 1.0)):
+            p = NoncentralParams(1.0, df2, lam)
+            assert noncentral_f_cdf_cdflib(x, p) == cumfnc_loop(x, p)
+
+    def test_earl_kernel_peak_memory(self):
+        # 64 nodes at n = 200, gamma0 = 0.01: lambda from 5e5 to 2e6.  The
+        # group budget keeps the work arrays within what one call at the
+        # largest lambda holds (0.39 MB), which a 2^16-term budget did not.
+        import tracemalloc
+
+        from cvrunrules.cvdist import ProcessModel
+        from cvrunrules.design import INCREASING_SHIFTS, earl, solve_design
+        from cvrunrules.runrules import Direction, RunRule
+
+        pm = ProcessModel(0.01, 200)
+        design = solve_design(RunRule(2, 3, Direction.UPPER), pm)
+        earl(design, pm, None, INCREASING_SHIFTS)  # fills the node and chain caches
+        tracemalloc.start()
+        try:
+            earl(design, pm, None, INCREASING_SHIFTS)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            noncentral_f_cdf(2e6, NoncentralParams(1.0, 199.0, 2e6))
+            _, one_call = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert peak < 1.25 * one_call
+
+    @pytest.mark.parametrize("cdflib", [False, True])
+    def test_one_huge_lambda_fails_before_allocating(self, cdflib):
+        import tracemalloc
+
+        lams = [500.0] * 63 + [1e14]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EvaluationError):
+                _f_cdf_levels(500.0, 1.0, 4.0, lams, cdflib=cdflib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_bad_lambda_rejected(self, lam):
+        for cdflib in (False, True):
+            with pytest.raises(DomainError):
+                _f_cdf_levels(1.0, 1.0, 4.0, [5.0, lam], cdflib=cdflib)
+
+    def test_nan_x_is_a_domain_error_in_both_profiles(self):
+        p = NoncentralParams(1.0, 4.0, 5.0)
+        for fn in (noncentral_f_cdf, noncentral_f_cdf_cdflib):
+            with pytest.raises(DomainError):
+                fn(math.nan, p)
+            assert fn(math.inf, p) == 1.0
+        for profile in ("exact", "cdflib"):
+            with pytest.raises(DomainError):
+                cv2_cdf(math.nan, 5, 0.1, profile=profile)
+            assert cv2_cdf(math.inf, 5, 0.1, profile=profile) == 1.0
+
+    def test_empty_batch(self):
+        assert _f_cdf_levels(1.0, 1.0, 4.0, []) == []
