@@ -8,8 +8,8 @@ expected ARL over shift ranges, validates everything against a Monte
 Carlo oracle, and monitors recorded phase-II data.  The oracle draws each
 subgroup's mean and variance from their exact laws: the averaged items
 are normal, so the two are independent normal and scaled chi-square
-variates.  The item-by-item pipeline stays as the tests' reference for
-that sampler.
+variates.  The item-by-item pipeline lives in the test suite, as the
+reference for that sampler.
 """
 
 __version__ = "0.1.0"
@@ -54,6 +54,7 @@ from .runrules import (
     arl,
     build_chain,
     in_control_prob,
+    run_length_metrics,
 )
 
 __all__ = [
@@ -78,6 +79,7 @@ __all__ = [
     "build_chain",
     "in_control_prob",
     "arl",
+    "run_length_metrics",
     "ChartDesign",
     "ShiftRange",
     "DECREASING_SHIFTS",

@@ -15,8 +15,8 @@ and sample variance are independent, with
 X-bar* ~ N(mu*, sigma*^2/n) and (n - 1) S*^2 / sigma*^2 ~ chi^2_{n-1},
 so one normal and one chi-square variate give a subgroup's (S*/X-bar*)^2
 with the exact law that n*(1 + m) item and error draws would give.  That
-item-level pipeline stays as the private ``_pipeline_subgroups``, the
-reference the tests compare this sampler against.
+item-level pipeline is the tests' reference for this sampler
+(``tests/pipeline.py``).
 
 Replications are split into fixed-size chunks, each driven by its own
 counter-based Philox stream keyed on (seed, chunk index).  Estimates are
@@ -105,48 +105,6 @@ def simulate_subgroups(
         s2 = rng.chisquare(n - 1, size=todo.size) * var_scale
         ok = xbar != 0.0
         out[todo[ok]] = s2[ok] / xbar[ok] ** 2
-        redraws += int((~ok).sum())
-        todo = todo[~ok]
-    if redraws:
-        logger.warning("re-drew %d subgroups with a zero observed mean", redraws)
-    return out
-
-
-def _pipeline_subgroups(
-    size: int,
-    n: int,
-    gamma0: float,
-    shift: ShiftSpec,
-    me: MeasurementErrorModel,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw ``size`` observed squared sample CVs item by item: the tests'
-    reference for ``simulate_subgroups``.
-
-    True items are N(mu0 + a*sigma0, (b*sigma0)^2); each item is measured
-    m times as A + B*X + eps with eps ~ N(0, (eta*sigma0)^2) and the m
-    measurements averaged.  Returns (S*/mean*)^2 over the n averages.
-    """
-    sigma0 = gamma0 * _MU0
-    mean_true = _MU0 + shift.a * sigma0
-    sd_true = shift.b * sigma0
-    a_const = me.theta * _MU0
-    out = np.empty(size)
-    todo = np.arange(size)
-    redraws = 0
-    while todo.size:
-        x = rng.normal(mean_true, sd_true, size=(todo.size, n))
-        if me.reps == 1:
-            observed = a_const + me.slope * x
-            if me.eta > 0.0:
-                observed = observed + rng.normal(0.0, me.eta * sigma0, size=x.shape)
-        else:
-            eps = rng.normal(0.0, me.eta * sigma0, size=(todo.size, n, me.reps)) if me.eta > 0.0 else 0.0
-            observed = (a_const + me.slope * x[:, :, None] + eps).mean(axis=2)
-        xbar = observed.mean(axis=1)
-        s = observed.std(axis=1, ddof=1)
-        ok = xbar != 0.0
-        out[todo[ok]] = (s[ok] / xbar[ok]) ** 2
         redraws += int((~ok).sum())
         todo = todo[~ok]
     if redraws:

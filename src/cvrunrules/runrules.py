@@ -19,8 +19,8 @@ Many histories have the same future: 8-of-10 has 502 states but only
 coarsest partition under which equivalent states absorb on the same input
 and move to equivalent states (Moore refinement of the tables).  The
 chain lumped onto those classes has the same run-length law (Kemeny &
-Snell, *Finite Markov Chains*, 1960, sec. 6.3), so ``arl`` solves on the
-k x k lumped matrix Q_k.  With A = I - Q_k, v = A^{-1} 1 and
+Snell, *Finite Markov Chains*, 1960, sec. 6.3), so ``run_length_metrics``
+solves on the k x k lumped matrix Q_k.  With A = I - Q_k, v = A^{-1} 1 and
 z = A^{-1} (v - 1) (note (I - Q_k)^{-1} Q_k 1 = v - 1), at the all-inside
 class
 
@@ -29,9 +29,10 @@ class
 
 The lumped matrix depends on p alone (p on the inside edges, 1 - p on
 the outside edges, which absorb or stay transient), so
-``run_length_metrics`` fills it straight from p; ``arl`` and chart
-evaluation (``design``) both go through it, and neither builds the full
-history chain that ``build_chain`` still returns.
+``run_length_metrics`` fills it straight from p; chart evaluation
+(``design``) goes through it and never builds the full history chain.
+``build_chain``, which returns that chain as a dense matrix
+(``RuleChain``), and ``arl`` are deprecated.
 
 A is an M-matrix whose row sums are the absorption masses, 1 - p or 0.
 ``run_length_metrics`` eliminates it by the method of Grassmann, Taksar &
@@ -51,6 +52,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -71,6 +73,7 @@ __all__ = [
     "build_chain",
     "in_control_prob",
     "arl",
+    "run_length_metrics",
 ]
 
 
@@ -188,7 +191,10 @@ def history_path(r: int, s: int, outside: Sequence[bool]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RuleChain:
-    """Transient structure of a run-rule chart at a fixed inside-probability p."""
+    """Transient structure of a run-rule chart at a fixed inside-probability p.
+
+    Deprecated with ``build_chain``, its only constructor.
+    """
 
     rule: RunRule
     p: float
@@ -204,7 +210,16 @@ class RuleChain:
 
 def build_chain(rule: RunRule, p: float) -> RuleChain:
     """Construct the transient transition matrix for the rule at inside
-    probability p."""
+    probability p.
+
+    Deprecated: nothing evaluates this matrix; ``run_length_metrics``
+    solves the lumped chain straight from p.
+    """
+    warnings.warn(
+        "cvrunrules.runrules.build_chain is deprecated; use run_length_metrics(rule, [p])",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p}")
     automaton = rule_automaton(rule.r, rule.s)
@@ -392,7 +407,13 @@ def arl(chain: RuleChain) -> RunLengthMetrics:
 
     Raises ChainSingularError when p = 1 (no absorption, infinite run
     length) or when the run length overflows the double range.
+    Deprecated: call ``run_length_metrics(rule, [p])`` instead.
     """
+    warnings.warn(
+        "cvrunrules.runrules.arl is deprecated; use run_length_metrics(rule, [p])[0]",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return run_length_metrics(chain.rule, [chain.p])[0]
 
 

@@ -35,7 +35,7 @@ from cvrunrules.design import (
 from cvrunrules.mcsim import SimConfig, estimate_run_length
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec, observed_cv_incontrol
 from cvrunrules.phase2 import monitor_values
-from cvrunrules.runrules import Direction, RunRule, arl, build_chain
+from cvrunrules.runrules import Direction, RunRule, build_chain, run_length_metrics
 
 from conftest import c7_cells, record_criterion
 from tables import (
@@ -415,12 +415,13 @@ def test_c8_property_suite():
     # chain rows are stochastic for p in {0, 0.1, ..., 1}
     for (r, s) in RULES:
         for p in np.arange(0.0, 1.0001, 0.1):
-            chain = build_chain(RunRule(r, s, Direction.UPPER), float(p))
+            with pytest.deprecated_call():
+                chain = build_chain(RunRule(r, s, Direction.UPPER), float(p))
             total = chain.transition.sum(axis=1) + chain.absorption
             assert np.allclose(total, 1.0, atol=1e-14)
     # deterministic signal at the r-th sample when every point violates
     for (r, s) in RULES:
-        metrics = arl(build_chain(RunRule(r, s, Direction.LOWER), 0.0))
+        (metrics,) = run_length_metrics(RunRule(r, s, Direction.LOWER), [0.0])
         assert metrics.arl == pytest.approx(r, abs=1e-12)
         assert metrics.sdrl == pytest.approx(0.0, abs=1e-9)
     # CDF monotonicity and density normalization

@@ -78,13 +78,13 @@ class TestSolveDesign:
     def test_monotone_in_k_upper(self):
         # the k root relies on p, and with it the in-control ARL, rising with k
         from cvrunrules.cvdist import moments_for_gamma
-        from cvrunrules.runrules import arl as chain_arl, build_chain, in_control_prob
+        from cvrunrules.runrules import in_control_prob, run_length_metrics
 
         m = moments_for_gamma(0.1, 5)
         arls = []
         for k in np.linspace(0.5, 3.0, 12):
             p = in_control_prob(Direction.UPPER, m.mean + k * m.std, 5, 0.1)
-            arls.append(chain_arl(build_chain(rule(2, 3, "upper"), p)).arl)
+            arls.append(run_length_metrics(rule(2, 3, "upper"), [p])[0].arl)
         assert all(b > a for a, b in zip(arls, arls[1:]))
 
     def test_unattainable_target(self):

@@ -9,17 +9,12 @@ import pytest
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
 from cvrunrules.errors import DomainError
-from cvrunrules.mcsim import (
-    SimConfig,
-    _pipeline_subgroups,
-    estimate_run_length,
-    simulate_subgroup,
-    simulate_subgroups,
-)
+from cvrunrules.mcsim import SimConfig, estimate_run_length, simulate_subgroup, simulate_subgroups
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
 
 from conftest import c7_cells
+from pipeline import _pipeline_subgroups
 
 C7_CELLS = c7_cells()
 

@@ -155,7 +155,7 @@ class TestObservedCv2Cdf:
     @pytest.mark.slow
     def test_end_to_end_simulation_oracle(self):
         # item-level pipeline: true subgroups -> measurement -> averaged -> CV^2
-        from cvrunrules.mcsim import _pipeline_subgroups
+        from pipeline import _pipeline_subgroups
 
         rng = np.random.Generator(np.random.Philox(key=20240104))
         me = MeasurementErrorModel(theta=0.05, eta=0.28, slope=1.0, reps=1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import cvrunrules
 from cvrunrules import runrules
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import arl_at_shift, solve_design
@@ -32,7 +33,13 @@ ALL_RULES = [(r, s) for s in range(1, 11) for r in range(1, s + 1)]
 
 
 def chain_arl(r, s, p):
-    return arl(build_chain(RunRule(r, s, Direction.UPPER), p)).arl
+    return run_length_metrics(RunRule(r, s, Direction.UPPER), [p])[0].arl
+
+
+def dense_chain(rule, p):
+    """The full history chain of the deprecated ``build_chain``."""
+    with pytest.deprecated_call():
+        return build_chain(rule, p)
 
 
 def _mp_lumped_metrics(r, s, p, dps=80):
@@ -103,7 +110,7 @@ def _run_automaton(r):
 class TestChainStructure:
     @pytest.mark.parametrize("r,s,count", [(2, 3, 3), (3, 4, 7), (4, 5, 15), (1, 1, 1)])
     def test_state_counts(self, r, s, count):
-        chain = build_chain(RunRule(r, s, Direction.UPPER), 0.5)
+        chain = dense_chain(RunRule(r, s, Direction.UPPER), 0.5)
         assert len(chain.states) == count
         assert chain.initial_index == count - 1
         assert chain.states[-1] == (0,) * (s - 1)
@@ -111,7 +118,7 @@ class TestChainStructure:
     @pytest.mark.parametrize("p", np.arange(0.0, 1.0001, 0.1))
     @pytest.mark.parametrize("r,s", RULES)
     def test_row_stochasticity(self, r, s, p):
-        chain = build_chain(RunRule(r, s, Direction.LOWER), float(p))
+        chain = dense_chain(RunRule(r, s, Direction.LOWER), float(p))
         totals = chain.transition.sum(axis=1) + chain.absorption
         assert np.allclose(totals, 1.0, atol=1e-14)
         assert (chain.transition >= -1e-15).all()
@@ -119,7 +126,7 @@ class TestChainStructure:
     def test_published_2of3_matrix(self):
         # reference transient matrix, states ordered (1,0), (0,1), (0,0)
         p = 0.37
-        chain = build_chain(RunRule(2, 3, Direction.UPPER), p)
+        chain = dense_chain(RunRule(2, 3, Direction.UPPER), p)
         expected = np.array([
             [0.0, 0.0, p],
             [p, 0.0, 0.0],
@@ -130,7 +137,7 @@ class TestChainStructure:
 
     def test_published_3of4_matrix(self):
         p = 0.61
-        chain = build_chain(RunRule(3, 4, Direction.UPPER), p)
+        chain = dense_chain(RunRule(3, 4, Direction.UPPER), p)
         q = 1 - p
         expected = np.array([
             [0, 0, p, 0, 0, 0, 0],
@@ -149,7 +156,7 @@ class TestChainStructure:
         with pytest.raises(DomainError):
             RunRule(0, 2, Direction.UPPER)
         with pytest.raises(DomainError):
-            build_chain(RunRule(2, 3, Direction.UPPER), 1.2)
+            dense_chain(RunRule(2, 3, Direction.UPPER), 1.2)
         with pytest.raises(DomainError):
             RunRule(True, 1, Direction.UPPER)
         with pytest.raises(DomainError):
@@ -162,25 +169,33 @@ class TestArl:
     @pytest.mark.parametrize("r,s", RULES)
     def test_all_points_outside(self, r, s):
         # p = 0: the r-th sample signals deterministically
-        metrics = arl(build_chain(RunRule(r, s, Direction.UPPER), 0.0))
+        (metrics,) = run_length_metrics(RunRule(r, s, Direction.UPPER), [0.0])
         assert metrics.arl == pytest.approx(r, abs=1e-12)
         assert metrics.sdrl == pytest.approx(0.0, abs=1e-9)
 
     def test_shewhart_closed_form(self):
         for p in (0.1, 0.5, 0.9, 0.99, 0.9973):
-            metrics = arl(build_chain(RunRule(1, 1, Direction.UPPER), p))
+            (metrics,) = run_length_metrics(RunRule(1, 1, Direction.UPPER), [p])
             assert metrics.arl == pytest.approx(1.0 / (1.0 - p), rel=1e-12)
             assert metrics.sdrl == pytest.approx(math.sqrt(p) / (1.0 - p), rel=1e-10)
 
     def test_singular_at_p_one(self):
         with pytest.raises(ChainSingularError):
-            arl(build_chain(RunRule(2, 3, Direction.UPPER), 1.0))
+            run_length_metrics(RunRule(2, 3, Direction.UPPER), [1.0])
         # q = 1 - p is 0 only at p = 1: the largest double below 1 is solved
         rule = RunRule(1, 1, Direction.UPPER)
         with pytest.raises(ChainSingularError):
             run_length_metrics(rule, [0.5, 1.0])
         (metrics,) = run_length_metrics(rule, [1.0 - 2.0**-53])
         assert metrics.arl == 2.0**53
+
+    def test_deprecated_arl_is_run_length_metrics(self):
+        rule = RunRule(3, 4, Direction.UPPER)
+        chain = dense_chain(rule, 0.9)
+        with pytest.deprecated_call():
+            metrics = arl(chain)
+        assert metrics == run_length_metrics(rule, [0.9])[0]
+        assert "run_length_metrics" in runrules.__all__ and "run_length_metrics" in cvrunrules.__all__
 
     def test_rejects_p_outside_unit_interval(self):
         for p in (-0.1, 1.5, math.nan):
@@ -223,8 +238,8 @@ class TestArl:
         # relabeling transient states must not change ARL/SDRL
         rng = np.random.default_rng(101)
         rule = RunRule(r, s, Direction.UPPER)
-        chain = build_chain(rule, 0.83)
-        base = arl(chain)
+        chain = dense_chain(rule, 0.83)
+        (base,) = run_length_metrics(rule, [0.83])
         m = chain.transition.shape[0]
         for _ in range(5):
             perm = rng.permutation(m)
@@ -247,7 +262,7 @@ class TestArl:
         # replication keeps its own window of the last s-1 flags
         rng = np.random.default_rng(77)
         r, s, p = 2, 3, 0.9
-        exact = arl(build_chain(RunRule(r, s, Direction.UPPER), p))
+        (exact,) = run_length_metrics(RunRule(r, s, Direction.UPPER), [p])
         reps = 200_000
         lengths = np.empty(reps)
         alive = np.arange(reps)
@@ -291,8 +306,9 @@ class TestHistoryPath:
 
 
 class TestLumping:
-    """``arl`` solves on the automaton's quotient; these pin that quotient
-    and compare it with a dense solve on the full history chain."""
+    """``run_length_metrics`` solves on the automaton's quotient; these pin
+    that quotient and compare it with a dense solve on the full history
+    chain of the deprecated ``build_chain``."""
 
     P_GRID = (0.0, 0.37, 0.5, 0.9, 0.95, 0.99, 0.9973, 0.999)
 
@@ -308,7 +324,7 @@ class TestLumping:
             members = block == c
             assert len(set(block[automaton.t_in][members].tolist())) == 1
             assert len(set(out_block[members].tolist())) == 1
-        # arl() writes the two successors' entries without summing them
+        # _gth_plan's store() writes the two successors' entries without summing them
         assert (block[automaton.t_in] != out_block).all()
 
     @pytest.mark.parametrize(
@@ -335,7 +351,7 @@ class TestLumping:
         # working precision), so only cells with ARL <= 1e6 are compared.
         compared = 0
         for p in self.P_GRID:
-            chain = build_chain(RunRule(r, s, Direction.UPPER), p)
+            chain = dense_chain(RunRule(r, s, Direction.UPPER), p)
             m = chain.transition.shape[0]
             a_matrix = np.eye(m) - chain.transition
             try:
@@ -348,16 +364,16 @@ class TestLumping:
             if not 1.0 <= full_arl <= 1e6:
                 continue
             full_sdrl = math.sqrt(max(2.0 * z[chain.initial_index] - full_arl**2 + full_arl, 0.0))
-            metrics = arl(chain)
+            (metrics,) = run_length_metrics(chain.rule, [p])
             assert metrics.arl == pytest.approx(full_arl, rel=1e-10)
             assert metrics.sdrl == pytest.approx(full_sdrl, rel=1e-10, abs=1e-9)
             compared += 1
         assert compared >= 1
 
     def test_stacks_are_capped(self):
-        # 64 nodes of 8-of-10 (120 classes) would stack 7.4 MB of lumped
-        # matrices in one go; the stacks are capped near 0.5 MB and give
-        # the same numbers as one p at a time
+        # GTH forms no matrix: 64 nodes of 8-of-10 run as one stack with a
+        # 64-value array per stored entry of the plan (750 after fill),
+        # about 0.7 MB at peak, and give the same numbers as one p at a time
         rule = RunRule(8, 10, Direction.UPPER)
         ps = np.linspace(0.05, 0.95, 64).tolist()
         run_length_metrics(rule, ps[:1])  # cache the lumping outside the trace
@@ -368,7 +384,7 @@ class TestLumping:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-        single = [arl(build_chain(rule, p)) for p in ps]
+        single = [run_length_metrics(rule, [p])[0] for p in ps]
         assert [m.arl for m in stacked] == [m.arl for m in single]
         assert [m.sdrl for m in stacked] == [m.sdrl for m in single]
 

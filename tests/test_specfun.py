@@ -203,9 +203,16 @@ class TestRegIncBeta:
 class TestNoncentralT:
     def test_central_symmetric(self):
         assert noncentral_t_cdf(0.0, 4.0, 0.0) == pytest.approx(0.5, abs=KERNEL_ATOL)
+        # x^2 underflows to 0: the value at x = 0, Phi(-delta)
+        assert noncentral_t_cdf(1e-200, 4.0, 1.0) == 0.5 * math.erfc(1.0 / math.sqrt(2.0))
 
     def test_limit_to_one(self):
         assert noncentral_t_cdf(1e12, 4.0, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert noncentral_t_cdf(1e200, 4.0, 3.0) == noncentral_t_cdf(math.inf, 4.0, 3.0) == 1.0
+        # y = x^2 / (x^2 + nu) rounds to 1 here, but P(T > x) = 2.66e-6:
+        # 1 - int_{-delta}^inf phi(z) erf((z + delta) / (x sqrt 2)) dz (40-digit
+        # mpmath quadrature)
+        assert noncentral_t_cdf(3e8, 1.0, 1e3) == pytest.approx(0.99999734038479732871, abs=CDF_ATOL)
 
     def test_series_oracle(self):
         assert noncentral_t_cdf(1.5, 7.0, 2.1) == pytest.approx(0.27135990440121613806, abs=CDF_ATOL)
@@ -232,9 +239,25 @@ class TestNoncentralT:
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_f_identity_at_large_delta(self):
+        # F_t(x) - F_F(x^2; 1, n - 1, delta^2) = P(T < -x), which lies in
+        # [0, Phi(-delta)]; the chart grid's delta reaches 2828 (n = 200,
+        # gamma = 0.005), where lgamma differences lose digits
+        for n in (50, 100, 200):
+            for gamma in (0.005, 0.01, 0.02, 0.05):
+                delta = math.sqrt(n) / gamma
+                p = NoncentralParams(1.0, n - 1.0, n / gamma**2)
+                for r in (0.8, 0.9, 1.0, 1.1, 1.25):
+                    x = math.sqrt(n) / (gamma * r)
+                    diff = noncentral_t_cdf(x, n - 1.0, delta) - noncentral_f_cdf(x * x, p)
+                    assert -1e-12 <= diff <= 0.5 * math.erfc(delta / math.sqrt(2.0)) + 1e-12, (n, gamma, r, diff)
+
     def test_bad_nu(self):
         with pytest.raises(DomainError):
             noncentral_t_cdf(1.0, 0.0, 1.0)
+        for args in ((1.0, math.inf, 1.0), (math.nan, 4.0, 1.0), (1.0, 4.0, math.nan), (1.0, 4.0, math.inf)):
+            with pytest.raises(DomainError):
+                noncentral_t_cdf(*args)
 
 
 class TestNoncentralFCdf:
@@ -342,23 +365,29 @@ class TestNoncentralFCdf:
             assert noncentral_f_cdf(float(x), p) == pytest.approx(st.ncf.cdf(x, 1.0, df2, lam), abs=1e-11)
 
     def test_huge_lambda_fails_fast(self):
-        # the window length (~1.1e8 terms at lambda = 1e14) is known before
-        # any work, so the cap raises without allocating or looping
+        # the window length (~1.1e8 terms at lambda = 1e14, ~1.7e8 for the
+        # t CDF at delta = 1.5e7) is known before any work, so the cap
+        # raises without allocating or looping
         import time
         import tracemalloc
 
-        p = NoncentralParams(1.0, 4.0, 1e14)
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        try:
-            with pytest.raises(EvaluationError):
-                noncentral_f_cdf(1e14, p)
-            elapsed = time.perf_counter() - t0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 0.1
-        assert peak < 1_000_000
+        calls = (
+            lambda: noncentral_f_cdf(1e14, NoncentralParams(1.0, 4.0, 1e14)),
+            lambda: noncentral_t_cdf(1e7, 4.0, 1.5e7),
+            lambda: noncentral_t_cdf(1e9, 4.0, 1e9),  # x^2 / (x^2 + nu) rounds to 1
+        )
+        for call in calls:
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                with pytest.raises(EvaluationError, match="Poisson window"):
+                    call()
+                elapsed = time.perf_counter() - t0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.1
+            assert peak < 1_000_000
 
     def test_no_nan_near_zero(self):
         # x -> 0 makes the mode's beta decrement underflow while the ratios
