@@ -1,11 +1,11 @@
 """Independent Monte Carlo oracle for the chart mathematics.
 
 Simulates observed subgroups under the linear covariate measurement-error
-model, computes their squared sample CVs, tracks run-rule states and
-estimates run-length metrics empirically.  Nothing here reuses the
-analytic distribution code, so agreement between this module and the
-exact Markov results cross-validates both; only the run-rule states come
-from the integer tables of ``runrules.rule_automaton``.
+model, computes their squared sample CVs and estimates run-length metrics
+empirically.  Nothing here reuses the analytic distribution code or the
+run-rule chain (a run signals at the first point whose trailing s points
+hold r or more outside the limit), so agreement with the exact Markov
+results cross-validates both.
 
 Each subgroup is drawn through its two sufficient statistics.  An
 averaged item A + B*X + mean(eps) is a linear combination of independent
@@ -21,7 +21,8 @@ item-level pipeline is the tests' reference for this sampler
 Replications are split into fixed-size chunks, each driven by its own
 counter-based Philox stream keyed on (seed, chunk index).  Estimates are
 therefore deterministic for a given seed and invariant to any parallel
-execution schedule over chunks.
+execution schedule over chunks.  A chunk draws time-major blocks of B
+points per live replication, B set only by what has been observed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .cvdist import ProcessModel, _check_gamma
 from .design import ChartDesign
 from .errors import DomainError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
-from .runrules import Direction, RunLengthMethod, RunLengthMetrics, rule_automaton
+from .runrules import Direction, RunLengthMethod, RunLengthMetrics
 
 __all__ = ["SimConfig", "simulate_subgroup", "simulate_subgroups", "estimate_run_length"]
 
@@ -47,6 +48,7 @@ logger = logging.getLogger(__name__)
 _MU0 = 1.0
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 14  # values per block draw, unless one row of live replications is more
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def simulate_subgroups(
-    size: int,
-    n: int,
-    gamma0: float,
-    shift: ShiftSpec,
-    me: MeasurementErrorModel,
-    rng: np.random.Generator,
+    size: int, n: int, gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``size`` observed squared sample CVs from their exact law.
 
@@ -97,88 +94,91 @@ def simulate_subgroups(
     var_star = (me.slope * shift.b * sigma0) ** 2 + (me.eta * sigma0) ** 2 / me.reps
     sd_mean = math.sqrt(var_star / n)
     var_scale = var_star / (n - 1)
-    out = np.empty(size)
-    todo = np.arange(size)
-    redraws = 0
-    while todo.size:
-        xbar = rng.normal(mean_star, sd_mean, size=todo.size)
-        s2 = rng.chisquare(n - 1, size=todo.size) * var_scale
-        ok = xbar != 0.0
-        out[todo[ok]] = s2[ok] / xbar[ok] ** 2
-        redraws += int((~ok).sum())
-        todo = todo[~ok]
+    xbar2 = rng.normal(mean_star, sd_mean, size=size)
+    np.square(xbar2, out=xbar2)
+    out = rng.chisquare(n - 1, size=size)
+    out *= var_scale
+    zero = np.flatnonzero(xbar2 == 0.0)
+    redraws = zero.size
+    while zero.size:
+        xbar2[zero] = np.square(rng.normal(mean_star, sd_mean, size=zero.size))
+        out[zero] = rng.chisquare(n - 1, size=zero.size) * var_scale
+        zero = zero[xbar2[zero] == 0.0]
+        redraws += zero.size
+    out /= xbar2
     if redraws:
         logger.warning("re-drew %d subgroups with a zero observed mean", redraws)
     return out
 
 
 def simulate_subgroup(
-    n: int,
-    gamma0: float,
-    shift: ShiftSpec,
-    me: MeasurementErrorModel,
-    rng: np.random.Generator,
+    n: int, gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel, rng: np.random.Generator
 ) -> float:
     """Single observed squared sample CV."""
     return float(simulate_subgroups(1, n, gamma0, shift, me, rng)[0])
 
 
+def _block_signals(outside: np.ndarray, ring: np.ndarray, count: np.ndarray, done: int, r: int) -> np.ndarray:
+    """Row of each column's first signal in a block of points, or B if none.
+
+    ``outside`` flags steps done + 1 .. done + B, a row per step and a column
+    per replication; ``ring`` holds the last s flags, step k in row k % s,
+    and ``count`` their sum.  Each row adds its flag to the trailing count
+    and drops the one s steps back; ring and count advance in place.
+    """
+    rows, s = outside.shape[0], ring.shape[0]
+    m = min(rows, s)
+    window = outside.astype(count.dtype)
+    window[:m] -= ring[(done + 1 + np.arange(m)) % s]
+    window[m:] -= outside[: rows - m]
+    ring[(done + 1 + np.arange(rows - m, rows)) % s] = outside[rows - m :]
+    window[0] += count
+    for t in range(1, rows):  # row by row: numpy accumulates axis 0 a column at a time
+        window[t] += window[t - 1]
+    count[:] = window[-1]
+    return np.where(window >= r, np.arange(rows)[:, None], rows).min(axis=0)
+
+
 def estimate_run_length(
-    design: ChartDesign,
-    pm: ProcessModel,
-    me: MeasurementErrorModel | None = None,
-    shift: ShiftSpec | None = None,
-    cfg: SimConfig = SimConfig(replications=100_000, seed=20230517),
+    design: ChartDesign, pm: ProcessModel, me: MeasurementErrorModel | None = None,
+    shift: ShiftSpec | None = None, cfg: SimConfig = SimConfig(replications=100_000, seed=20230517),
 ) -> RunLengthMetrics:
     """Empirical ARL/SDRL of a designed chart under the simulated pipeline.
 
     Runs that reach cfg.max_run_length are truncated at that length and
-    counted in the ``truncated`` field of the result.
+    counted in the ``truncated`` field of the result.  Each block holds
+    B = max(1, min(2^14 // live, mean / 2, steps left)) points per live
+    replication, at most max(live, 2^14) values, where mean is that of
+    the chunk's finished runs (steps done + 1 before any has finished).
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
-    automaton = rule_automaton(design.rule.r, design.rule.s)
-    upper = design.rule.direction is Direction.UPPER
 
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    truncated = 0
-    n_chunks = (cfg.replications + _CHUNK - 1) // _CHUNK
-    for chunk_index in range(n_chunks):
-        size = min(_CHUNK, cfg.replications - chunk_index * _CHUNK)
-        rng = _chunk_rng(cfg.seed, chunk_index)
-        state = np.full(size, automaton.initial_index, dtype=np.int64)
-        alive = np.arange(size)
-        lengths = np.zeros(size, dtype=np.int64)
-        step = 0
-        while alive.size:
-            step += 1
-            if step > cfg.max_run_length:
-                lengths[alive] = cfg.max_run_length
-                truncated += alive.size
-                break
-            g2 = simulate_subgroups(alive.size, pm.n, pm.gamma0, shift, me, rng)
-            outside = g2 > design.limit if upper else g2 < design.limit
-            current = state[alive]
-            nxt = np.where(outside, automaton.t_out[current], automaton.t_in[current])
-            absorbed = nxt < 0
-            lengths[alive[absorbed]] = step
-            keep = ~absorbed
-            state[alive[keep]] = nxt[keep]
-            alive = alive[keep]
-        chunk_lengths = lengths.astype(float)
-        total += chunk_lengths.sum()
-        total_sq += (chunk_lengths * chunk_lengths).sum()
-        count += size
+    total, total_sq, truncated = 0.0, 0.0, 0
+    for start in range(0, cfg.replications, _CHUNK):
+        size = min(_CHUNK, cfg.replications - start)
+        rng = _chunk_rng(cfg.seed, start // _CHUNK)
+        ring = np.zeros((design.rule.s, size), dtype=bool)
+        count = np.zeros(size, dtype=np.min_scalar_type(-design.rule.s - 1))
+        done, ended_sum = 0, 0.0
+        while count.size and done < cfg.max_run_length:
+            mean = ended_sum / (size - count.size) if count.size < size else done + 1
+            rows = max(1, min(_BLOCK // count.size, int(mean / 2), cfg.max_run_length - done))
+            g2 = simulate_subgroups(rows * count.size, pm.n, pm.gamma0, shift, me, rng).reshape(rows, count.size)
+            outside = g2 > design.limit if design.rule.direction is Direction.UPPER else g2 < design.limit
+            first = _block_signals(outside, ring, count, done, design.rule.r)
+            signalled = first < rows
+            lengths = first[signalled] + (done + 1.0)
+            ended_sum += float(lengths.sum())
+            total_sq += float((lengths * lengths).sum())
+            live = np.flatnonzero(~signalled)
+            ring, count = ring.take(live, axis=1), count.take(live)
+            done += rows
+        truncated += count.size
+        total += ended_sum + count.size * float(done)
+        total_sq += count.size * float(done) ** 2
 
-    mean = total / count
-    variance = max(total_sq / count - mean * mean, 0.0) * count / max(count - 1, 1)
-    sd = math.sqrt(variance)
-    return RunLengthMetrics(
-        arl=mean,
-        sdrl=sd,
-        method=RunLengthMethod.MONTE_CARLO,
-        stderr=sd / math.sqrt(count),
-        truncated=truncated,
-    )
+    reps = cfg.replications
+    mean = total / reps
+    sd = math.sqrt(max(total_sq / reps - mean * mean, 0.0) * reps / max(reps - 1, 1))
+    return RunLengthMetrics(mean, sd, RunLengthMethod.MONTE_CARLO, stderr=sd / math.sqrt(reps), truncated=truncated)

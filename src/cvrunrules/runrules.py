@@ -6,9 +6,10 @@ histories of the last s-1 points that contain at most r-1 violations;
 a new inside point (probability p) shifts the history, a new outside
 point either absorbs (if the trailing s-window now holds r violations)
 or shifts the history with a violation appended.  ``rule_automaton`` is
-the one encoding of these histories; the chain and the Monte Carlo
-oracle index its next-state tables, and phase-II monitoring maps recorded
-points onto its states through ``history_path``.
+the one encoding of these histories; the chain indexes its next-state
+tables, and phase-II monitoring maps recorded points onto its states
+through ``history_path``.  The Monte Carlo oracle uses none of it: it
+counts violations in the trailing window, so it checks the chain.
 
 States are ordered by descending history value (oldest point most
 significant), which puts the all-inside history last; the initial

@@ -331,10 +331,11 @@ def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cd
     count = len(lams)
     if x <= 0.0:
         return [0.0] * count
-    if x == math.inf:
-        return [1.0] * count
     u = df1 * x / (df1 * x + df2)
-    if u >= 1.0:
+    v = df2 / (df1 * x + df2)
+    # u rounds to 1 from df1 x / df2 ~ 1e16 on, but v still holds the tail
+    # until df1 x overflows; the legacy loop stopped at u = 1.
+    if not v > 0.0 or (cdflib and u >= 1.0):
         return [1.0] * count
     if u <= 0.0:
         return [0.0] * count
@@ -343,7 +344,7 @@ def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cd
     out = [0.0] * count
     nodes = sorted((0.5 * lam, i) for i, lam in enumerate(lams) if lam > central)
     if len(nodes) < count:
-        value = reg_inc_beta(u, 0.5 * df1, 0.5 * df2)
+        value = 1.0 - reg_inc_beta(v, 0.5 * df2, 0.5 * df1) if u >= 1.0 else reg_inc_beta(u, 0.5 * df1, 0.5 * df2)
         for i, lam in enumerate(lams):
             if not lam > central:
                 out[i] = value

@@ -1,15 +1,18 @@
 """Monte Carlo oracle tests: determinism, distributional fidelity, and
 agreement with the exact Markov metrics."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
 from cvrunrules.errors import DomainError
-from cvrunrules.mcsim import SimConfig, estimate_run_length, simulate_subgroup, simulate_subgroups
+from cvrunrules.mcsim import SimConfig, _block_signals, estimate_run_length, simulate_subgroup, simulate_subgroups
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
 
@@ -124,7 +127,33 @@ class TestSimulateSubgroup:
         rng = philox(17)
         xbar = rng.normal(mean, math.sqrt(var / 5), size=1000)
         s2 = rng.chisquare(4, size=1000) * var / 4
-        np.testing.assert_allclose(got, s2 / xbar**2, rtol=1e-14)
+        np.testing.assert_array_equal(got, s2 / xbar**2)
+
+    def test_zero_mean_is_redrawn(self, caplog):
+        # a subgroup mean of exactly 0 would give an infinite CV; those
+        # subgroups are drawn again, and only those
+        class ZerosOnFirstNormal:
+            def __init__(self, rng, at):
+                self.rng, self.at = rng, at
+
+            def normal(self, loc, scale, size):
+                out = self.rng.normal(loc, scale, size=size)
+                if self.at is not None:
+                    out[self.at], self.at = 0.0, None
+                return out
+
+            def chisquare(self, df, size):
+                return self.rng.chisquare(df, size=size)
+
+        me, shift = MeasurementErrorModel.identity(), ShiftSpec.in_control(0.1)
+        at = np.array([0, 17, 500, 999])
+        with caplog.at_level(logging.WARNING, logger="cvrunrules.mcsim"):
+            got = simulate_subgroups(1000, 5, 0.1, shift, me, ZerosOnFirstNormal(philox(23), at))
+        assert np.isfinite(got).all() and (got > 0).all()
+        assert [r.getMessage() for r in caplog.records] == ["re-drew 4 subgroups with a zero observed mean"]
+        kept = np.ones(1000, dtype=bool)
+        kept[at] = False
+        np.testing.assert_array_equal(got[kept], simulate_subgroups(1000, 5, 0.1, shift, me, philox(23))[kept])
 
     @pytest.mark.parametrize("i", range(len(C7_CELLS)))
     def test_same_law_as_pipeline(self, i):
@@ -169,6 +198,32 @@ class TestEstimateRunLength:
         assert m.arl == pytest.approx(3.0, abs=1e-12)
         assert m.sdrl == 0.0
 
+    @pytest.mark.parametrize("replications", [1_000, 65_537])  # 65 537: a second chunk of one
+    @pytest.mark.parametrize("max_run_length, arl, truncated", [(5, 5.0, False), (4, 4.0, True)])
+    def test_forced_signal_at_the_truncation_bound(self, replications, max_run_length, arl, truncated):
+        # every point violates a 5-of-8 upper chart at limit 0, so each run
+        # signals at step 5: a bound of 5 still sees it, a bound of 4 cuts
+        # every run, whatever blocks the steps were drawn in
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(RunRule(5, 8, Direction.UPPER), pm)
+        object.__setattr__(d, "limit", 0.0)
+        cfg = SimConfig(replications=replications, seed=13, max_run_length=max_run_length)
+        m = estimate_run_length(d, pm, None, ShiftSpec.in_control(0.1), cfg)
+        assert (m.arl, m.sdrl) == (arl, 0.0)
+        assert m.truncated == (replications if truncated else 0)
+
+    @pytest.mark.parametrize(
+        "r, s, direction, tau", [(2, 3, Direction.UPPER, 1.5), (3, 4, Direction.LOWER, 0.65), (5, 8, Direction.UPPER, 1.5)]
+    )
+    @pytest.mark.parametrize("me", [None, MeasurementErrorModel(theta=0.05, eta=0.28, slope=1.0, reps=3)])
+    def test_agrees_with_exact(self, r, s, direction, tau, me):
+        # the fast suite's check on the oracle, at the benchmark's 4-SE gate
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(RunRule(r, s, direction), pm, me)
+        shift = ShiftSpec.from_tau(tau, 0.1)
+        mc = estimate_run_length(d, pm, me, shift, SimConfig(replications=20_000, seed=4100 + 10 * r + s))
+        assert abs(mc.arl - arl_at_shift(d, pm, me, shift).arl) <= 4 * mc.stderr
+
     def test_truncation_reported(self):
         pm = ProcessModel(0.1, 5)
         d = solve_design(RunRule(2, 3, Direction.UPPER), pm)
@@ -211,6 +266,44 @@ class TestEstimateRunLength:
             cfg = SimConfig(replications=150_000, seed=1000 + r * 10 + s)
             mc = estimate_run_length(d, pm, me, shift, cfg)
             assert abs(exact.arl - mc.arl) <= 3 * mc.stderr
+
+
+def _brute_force_lengths(outside, r, s):
+    # first t with r or more of the flags t - s + 1 .. t set, by definition
+    steps, reps = outside.shape
+    lengths = np.full(reps, -1)
+    for a in range(reps):
+        for t in range(1, steps + 1):
+            if outside[max(0, t - s) : t, a].sum() >= r:
+                lengths[a] = t
+                break
+    return lengths
+
+
+class TestBlockSignals:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=hs.data())
+    def test_matches_brute_force_across_block_splits(self, data):
+        s = data.draw(hs.integers(1, 12), label="s")
+        r = data.draw(hs.integers(1, s), label="r")
+        steps = data.draw(hs.integers(1, 40), label="steps")
+        reps = data.draw(hs.integers(1, 6), label="reps")
+        p = data.draw(hs.sampled_from([0.1, 0.4, 0.8]), label="p")
+        seed = data.draw(hs.integers(0, 2**32 - 1), label="seed")
+        outside = np.random.default_rng(seed).random((steps, reps)) < p
+        splits = data.draw(hs.lists(hs.integers(1, 2 * s + 3), min_size=1, max_size=steps), label="blocks")
+        ring = np.zeros((s, reps), dtype=bool)
+        count = np.zeros(reps, dtype=np.min_scalar_type(-s - 1))
+        lengths = np.full(reps, -1)
+        done = 0
+        while done < steps:
+            rows = min(splits[done % len(splits)], steps - done)
+            first = _block_signals(outside[done : done + rows], ring, count, done, r)
+            new = (first < rows) & (lengths < 0)
+            lengths[new] = done + 1 + first[new]
+            done += rows
+            np.testing.assert_array_equal(count, outside[max(0, done - s) : done].sum(axis=0))
+        np.testing.assert_array_equal(lengths, _brute_force_lengths(outside, r, s))
 
 
 class TestShiftProcessMatch:

@@ -389,6 +389,31 @@ class TestNoncentralFCdf:
             assert elapsed < 0.1
             assert peak < 1_000_000
 
+    def test_tail_where_u_rounds_to_one(self):
+        # from df1 x / df2 ~ 1e16 on, u = df1 x / (df1 x + df2) rounds to 1
+        # while v = df2 / (df1 x + df2) still carries the tail; the sum runs
+        # in v (scipy.stats.ncf.cdf gives 0.99999734038485 here)
+        assert noncentral_f_cdf(9e16, NoncentralParams(1.0, 1.0, 1e6)) == pytest.approx(
+            0.99999734038485, abs=CDF_ATOL
+        )
+
+    def test_central_tail_where_u_rounds_to_one(self):
+        import scipy.stats as st
+
+        # scipy's own f.cdf rounds u too (it returns 1.0 at 9e16), so the
+        # reference is its survival function, which here equals the closed
+        # form 1 - (2 / pi) atan(1 / sqrt(x)) of F(1, 1)
+        for x in (1e16, 9e16, 1e18):
+            got = noncentral_f_cdf(x, NoncentralParams(1.0, 1.0, 0.0))
+            assert 1.0 - got == pytest.approx(st.f.sf(x, 1.0, 1.0), rel=1e-6)
+            assert 1.0 - got == pytest.approx(2.0 / math.pi * math.atan(1.0 / math.sqrt(x)), rel=1e-6)
+        # the cdflib profile keeps the legacy loop's 1 at u = 1
+        assert noncentral_f_cdf_cdflib(9e16, NoncentralParams(1.0, 1.0, 1e6)) == 1.0
+
+    def test_window_cap_where_u_rounds_to_one(self):
+        with pytest.raises(EvaluationError, match="Poisson window"):
+            noncentral_f_cdf(9e16, NoncentralParams(1.0, 1.0, 1e11))
+
     def test_no_nan_near_zero(self):
         # x -> 0 makes the mode's beta decrement underflow while the ratios
         # toward j = 0 are huge; the log-space sums must not form 0 * inf
