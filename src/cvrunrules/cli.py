@@ -359,6 +359,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     rows = []
     for gamma0 in args.gamma0:
         ProcessModel(gamma0=gamma0, n=args.n)  # validates the window
@@ -394,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EvaluationError, ChainSingularError, GammaDomainError) as exc:
         print(f"error [numeric]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error [usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CvRunRulesError as exc:

@@ -7,7 +7,9 @@ to a noncentral t variate and its square to a noncentral F variate:
     F_cv(x)   = 1 - F_t(sqrt(n)/x | n-1, sqrt(n)/gamma)
     F_cv2(x)  = 1 - F_F(n/x | 1, n-1, n/gamma^2)
     f_cv2(x)  = (n/x^2) f_F(n/x | 1, n-1, n/gamma^2)
+              = sum_j w_j (1/2 + j) T_j(n/x) / x
 
+with the Poisson weights w_j and beta decrements T_j of ``specfun``.
 These forms are only trustworthy for gamma < 0.5; larger values are
 rejected unless explicitly forced (out-of-control evaluations can push
 the effective CV past the window and callers opt in knowingly).
@@ -118,12 +120,18 @@ def _cv2_cdf_levels(
 
 
 def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
-    """Density of the squared sample CV at x > 0."""
+    """Density of the squared sample CV at x > 0.
+
+    (n/x^2) f_F(n/x) with f_F(y) = sum_j w_j (1/2 + j) T_j(y) / y is that
+    same Poisson mixture divided by x (``specfun._f_pdf_over``), so no
+    n/x^2 factor overflows as x -> 0.  0.0 where n/x overflows or the
+    density is below e^-700.
+    """
     as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    return (n / (x * x)) * specfun.noncentral_f_pdf(n / x, _f_params(n, gamma))
+    return specfun._f_pdf_over(n / x, _f_params(n, gamma), x)
 
 
 def moments_for_gamma(gamma: float, n: int, *, force: bool = False) -> Cv2Moments:

@@ -111,12 +111,12 @@ def _metrics_at_levels(
     gammas: Sequence[float],
     *,
     profile: str,
-    force: bool,
 ) -> list[RunLengthMetrics]:
-    """Exact run-length metrics of a chart at each observed CV level: one
-    batched CDF call for all levels, then one ``run_length_metrics`` call."""
-    ps = runrules._in_control_probs(rule.direction, limit, n, gammas, force=force, profile=profile)
-    return runrules.run_length_metrics(rule, [min(max(p, 0.0), 1.0) for p in ps])
+    """Exact run-length metrics of a chart at each observed CV level, which
+    may lie past the gamma validity window: one batched CDF call for all
+    levels, then one ``run_length_metrics`` call."""
+    ps = runrules._in_control_probs(rule.direction, limit, n, gammas, force=True, profile=profile)
+    return runrules.run_length_metrics(rule, ps)
 
 
 def _root(f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -242,7 +242,7 @@ def arl_at_shift(
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
     shift.check_gamma0(pm.gamma0)
     gamma_eval = merror.observed_cv_shifted(pm.gamma0, shift, me)
-    (metrics,) = _metrics_at_levels(design.limit, design.rule, pm.n, [gamma_eval], profile=profile, force=True)
+    (metrics,) = _metrics_at_levels(design.limit, design.rule, pm.n, [gamma_eval], profile=profile)
     return metrics
 
 
@@ -280,7 +280,7 @@ def earl(
         merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(half_width * xi + mid, pm.gamma0, b=b), me)
         for xi in x
     ]
-    metrics = _metrics_at_levels(design.limit, design.rule, pm.n, gammas, profile=profile, force=True)
+    metrics = _metrics_at_levels(design.limit, design.rule, pm.n, gammas, profile=profile)
     total = 0.0
     for wi, m in zip(w, metrics):
         total += wi * m.arl
@@ -321,7 +321,6 @@ def sweep(
     shift_cells = list(taus) if taus is not None else list(omegas)
     is_tau = taus is not None
     rows: list[dict[str, object]] = []
-    design_cache: dict[tuple, ChartDesign] = {}
     for rule, n, gamma0, theta, eta, slope, m in itertools.product(
         rules, ns, gamma0s, thetas, etas, slopes, reps
     ):
@@ -336,13 +335,10 @@ def sweep(
             "B": slope,
             "m": m,
         }
-        key = (rule, n, gamma0, theta, eta, slope, m, arl0, profile)
         try:
             me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
             pm = ProcessModel(gamma0=gamma0, n=n)
-            if key not in design_cache:
-                design_cache[key] = solve_design(rule, pm, me, arl0, profile=profile)
-            design = design_cache[key]
+            design = solve_design(rule, pm, me, arl0, profile=profile)
         except Exception as exc:  # per-cell capture by contract
             for cell in shift_cells:
                 row = dict(base, k=None, limit=None)

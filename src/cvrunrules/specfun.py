@@ -2,25 +2,26 @@
 noncentral F CDF/PDF.
 
 All evaluators are pure deterministic functions targeting 1e-10 absolute
-accuracy or better.  The noncentral mixtures are anchored at the Poisson
-mode so that large noncentrality (lambda up to ~1e6 and beyond) never
-underflows: starting the recurrences at j = 0 would begin from weights
-that are exactly zero in double precision once lambda/2 > 745.
-
-All three mixtures (the F CDF, the kernel of every chart evaluation,
-the F density and the t CDF behind ``cv_cdf``) share one Poisson term
-window fixed in advance, ``_poisson_window``: j0 +- (8.1 sqrt(lambda/2)
-+ 22), the width at which a Bernstein tail bound leaves at most 1e-14 of
-Poisson mass outside (Benton & Krishnamoorthy 2003, *CSDA* 43:249, on
-mode-centred evaluation), and one normalised sum over it,
-``_mixture_sum``, in numpy passes.  The CDFs' beta values are anchored by
-one continued fraction at the mode (``_beta_column``), the density's beta
-densities by their closed form there; the rest come from cumulative sums
-of log ratios.  A window longer than ``_TERM_CAP`` raises EvaluationError
-before anything is allocated.  Against a 40-digit mpmath sum the F CDF is
-within 1e-12 absolute for lambda up to 24 000; the t CDF is within 1e-13
-of ``scipy.stats.nct`` for |delta| <= 60 and, out to delta = 2828, of the
-identity F_t(x) - F_F(x^2) = P(T < -x) to 1e-12.
+accuracy or better.  Every exact noncentral mixture (the F CDF, the
+kernel of every chart evaluation, the F density and the t CDF behind
+``cv_cdf``) is made of four parts: one split of x into (u, v, log u,
+log v), ``_split``; one Poisson term window around the mode j0,
+``_poisson_window``: j0 +- (8.1 sqrt(lambda/2) + 22), outside which a
+Bernstein bound leaves at most 1e-14 of Poisson mass (Benton &
+Krishnamoorthy 2003, *CSDA* 43:249, on mode-centred evaluation); one
+recurrence, ``_log_terms``, for the logs of the beta decrements T_j =
+I_u(a0 + j, b) - I_u(a0 + j + 1, b) = u^a v^b / (a B(a, b)), a = a0 + j;
+and one normalised sum, ``_mixture_sum``.  Weights from j = 0 would
+underflow once lambda/2 > 745; from the mode they never do.  The CDFs'
+beta values are one continued fraction at the mode and partial sums of
+the T_j (``_beta_column``); the F density is sum_j w_j (a0 + j) T_j / x;
+lambda = 0 is a window with weights 1, 0, 0, ...  A window longer than
+``_TERM_CAP`` raises EvaluationError before anything is allocated.
+Against a 40-digit mpmath sum the F CDF is within 1e-12 absolute for
+lambda up to 24 000, the density at the tested points within 1e-12
+relative; the t CDF is within 1e-13 of ``scipy.stats.nct`` for |delta|
+<= 60 and, out to delta = 2828, of the identity F_t(x) - F_F(x^2) =
+P(T < -x) to 1e-12.
 
 The F CDF is batched over lambda (``_f_cdf_levels``): at one x the beta
 values depend on the term index alone, so nodes whose windows overlap
@@ -77,6 +78,7 @@ _GROUP_TERMS = 2**14
 _CDFLIB_EPS = 1e-4
 _CDFLIB_TINY = 1e-20
 _CDFLIB_CENTRAL = 1e-10
+_Split = tuple[float, float, float, float]  # (u, v, log u, log v) of ``_split``
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,20 @@ def _log_beta_prefactor(a: float, b: float, log_x: float, log_y: float) -> float
     return a * log_x + b * log_y + _lgamma_shift(big, small) - lgamma(small)
 
 
+def _split(dx: float, d2: float) -> _Split:
+    """u = dx / (dx + d2), v = d2 / (dx + d2) and their logs, dx >= 0, d2 > 0.
+
+    v is not 1 - u: u rounds to 1 from dx / d2 ~ 1e16 on, but v holds the
+    tail until dx overflows.  The larger of u, v has log1p of the smaller
+    as its log.  A log of 0 is -inf; callers test u > 0 and v > 0 first.
+    """
+    s = dx + d2
+    u, v = dx / s, d2 / s
+    if u < 0.5:
+        return u, v, log(u) if u > 0.0 else -math.inf, log1p(-u)
+    return u, v, log1p(-v), log(v) if v > 0.0 else -math.inf
+
+
 def _poisson_window(mu: float) -> tuple[int, int]:
     """Terms j = lo..hi holding all but _F_TAIL of the Poisson(mu) mass.
 
@@ -257,32 +273,30 @@ def noncentral_t_cdf(x: float, nu: float, delta: float) -> float:
         return 1.0 - noncentral_t_cdf(-x, nu, -delta)
     z = delta / sqrt(2.0)
     phi_neg_delta = 0.5 * math.erfc(z)
-    # y and v as the F CDF forms u and v at x^2 and df1 = 1: S1 is its sum
-    y = x * x / (x * x + nu)
-    v = nu / (x * x + nu)
+    # y is the F CDF's u at x^2 and df1 = 1: S1 is its sum
+    split = _split(x * x, nu)
+    y, v = split[:2]
     if not v > 0.0:  # x^2 overflowed; y rounds to 1 long before, but v still holds the tail
         return 1.0
     if y <= 0.0:
         return phi_neg_delta
-    log_y, log_v = (log(y), log1p(-y)) if y < 0.5 else (log1p(-v), log(v))
     b = 0.5 * nu
     mu = 0.5 * delta * delta
     lo, hi = _poisson_window(mu)
     mode = int(mu) - lo
     j = np.arange(lo, hi + 1, dtype=float)
-    s1 = _mixture_sum(j, _beta_column(j, mode, 0.5, b, y, v, log_y, log_v), mu, mode)
-    s2 = _mixture_sum(j + 0.5, _beta_column(j, mode, 1.0, b, y, v, log_y, log_v), mu, mode)
+    s1 = _mixture_sum(j, _beta_column(j, mode, 0.5, b, split), mu, mode)
+    s2 = _mixture_sum(j + 0.5, _beta_column(j, mode, 1.0, b, split), mu, mode)
     return min(max(phi_neg_delta + 0.5 * (s1 + math.erf(z) * s2), 0.0), 1.0)
 
 
 def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
     """CDF of the noncentral F distribution at x (0 for x <= 0, 1 at +inf).
 
-    Poisson(lambda/2)-weighted sum of I_u(df1/2 + j, df2/2) over the term
-    window of ``_poisson_window`` (dropped Poisson mass <= 1e-14, so the
-    truncation error is <= 1e-14 absolute): the one-node case of
-    ``_f_cdf_levels``.  Raises DomainError for a NaN x, and
-    EvaluationError, before any work, when the window exceeds
+    Poisson(lambda/2)-weighted sum of I_u(df1/2 + j, df2/2) over the
+    window of ``_poisson_window`` (truncation error <= 1e-14 absolute):
+    the one-node case of ``_f_cdf_levels``.  Raises DomainError for a NaN
+    x, and EvaluationError, before any work, when the window exceeds
     ``_TERM_CAP`` terms (lambda above about 7.6e9).
     """
     return _f_cdf_levels(x, p.df1, p.df2, [p.noncentrality])[0]
@@ -307,21 +321,18 @@ def noncentral_f_cdf_cdflib(x: float, p: NoncentralParams) -> float:
 def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cdflib: bool = False) -> list[float]:
     """CDF at x of F(df1, df2, lambda) for each lambda in ``lams``, in order.
 
-    Every node shares x and the degrees of freedom, so the values that
-    depend on the term index j alone form one column for all of them: the
-    beta values I_u(df1/2 + j, df2/2), or for ``cdflib`` the legacy loop's
-    beta-decrement ratios.  The nodes are sorted by lambda, and consecutive
-    ones whose windows overlap are grouped while the union stays within
-    ``_GROUP_TERMS``; each group builds its column once, and each node
-    sums its own slice with its own Poisson weights (``_mixture_sums``;
-    with ``cdflib``, ``_cumfnc_sums``).  One node is the scalar kernel: a
-    batch gives what one call per lambda gives, to 1e-13 (exact profile)
-    or bit for bit (``cdflib``).
+    The values that depend on the term index j alone (the beta values
+    I_u(df1/2 + j, df2/2), or for ``cdflib`` the legacy loop's
+    beta-decrement ratios) form one column for all nodes.  Nodes are sorted
+    by lambda, and consecutive ones whose windows overlap are grouped while
+    the union stays within ``_GROUP_TERMS``; each group builds its column
+    once, and each node sums its own slice with its own weights
+    (``_mixture_sums``, ``_cumfnc_sums``).  A batch gives what one call per
+    lambda gives, to 1e-13 (exact profile) or bit for bit (``cdflib``).
 
-    x and every lambda are checked before any work: a NaN x or a lambda
-    that is negative or not finite raises DomainError, and a window over
-    ``_TERM_CAP`` terms raises EvaluationError before anything is
-    allocated.  df1 and df2 are taken as positive and finite.
+    A NaN x or a lambda that is negative or not finite raises DomainError,
+    and a window over ``_TERM_CAP`` terms EvaluationError, before anything
+    is allocated.  df1 and df2 are taken as positive and finite.
     """
     if math.isnan(x):
         raise DomainError("x must not be NaN")
@@ -331,23 +342,19 @@ def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cd
     count = len(lams)
     if x <= 0.0:
         return [0.0] * count
-    u = df1 * x / (df1 * x + df2)
-    v = df2 / (df1 * x + df2)
-    # u rounds to 1 from df1 x / df2 ~ 1e16 on, but v still holds the tail
-    # until df1 x overflows; the legacy loop stopped at u = 1.
+    split = _split(df1 * x, df2)
+    u, v = split[:2]
+    # The legacy loop stopped at u = 1; the exact sums run on in v.
     if not v > 0.0 or (cdflib and u >= 1.0):
         return [1.0] * count
     if u <= 0.0:
         return [0.0] * count
-    # The legacy routine falls back to the central law below lambda = 1e-10.
-    central = _CDFLIB_CENTRAL if cdflib else 0.0
-    out = [0.0] * count
+    # lambda = 0 is an ordinary node (weights 1, 0, 0, ...); the legacy
+    # routine falls back to that central law below lambda = 1e-10.
+    central = _CDFLIB_CENTRAL if cdflib else -1.0
     nodes = sorted((0.5 * lam, i) for i, lam in enumerate(lams) if lam > central)
-    if len(nodes) < count:
-        value = 1.0 - reg_inc_beta(v, 0.5 * df2, 0.5 * df1) if u >= 1.0 else reg_inc_beta(u, 0.5 * df1, 0.5 * df2)
-        for i, lam in enumerate(lams):
-            if not lam > central:
-                out[i] = value
+    value = _f_cdf_levels(x, df1, df2, [0.0])[0] if len(nodes) < count else 0.0
+    out = [0.0 if lam > central else value for lam in lams]
     windows = [_poisson_window(mu) for mu, _ in nodes]
     groups: list[tuple[int, int, list[int]]] = []
     for k, (lo, hi) in enumerate(windows):
@@ -358,28 +365,21 @@ def _f_cdf_levels(x: float, df1: float, df2: float, lams: Sequence[float], *, cd
         else:
             groups.append((lo, hi, [k]))
     sums = _cumfnc_sums if cdflib else _mixture_sums
-    for (_, i), total in zip(nodes, sums(x, df1, df2, [mu for mu, _ in nodes], windows, groups)):
+    for (_, i), total in zip(nodes, sums(split, 0.5 * df1, 0.5 * df2, [mu for mu, _ in nodes], windows, groups)):
         out[i] = min(max(total, 0.0), 1.0)
     return out
 
 
 def _mixture_sums(
-    x: float, df1: float, df2: float, mus: list[float], windows: list[tuple[int, int]], groups: list
+    split: _Split, a0: float, b: float, mus: list[float], windows: list[tuple[int, int]], groups: list
 ) -> list[float]:
     # The exact profile: per group, one beta column anchored at the middle
     # node's mode; per node, its weights normalised over its own window.
-    u = df1 * x / (df1 * x + df2)
-    # 1 - u straight from x: near u = 1 the rounding of u alone moves
-    # a0 + j0 times log(u) by ~1e-10 at lambda = 2e6.
-    v = df2 / (df1 * x + df2)
-    log_u, log_v = (log(u), log1p(-u)) if u < 0.5 else (log1p(-v), log(v))
-    a0 = 0.5 * df1
-    b = 0.5 * df2
     totals = []
     for g_lo, g_hi, members in groups:
         j = np.arange(g_lo, g_hi + 1, dtype=float)
         anchor = int(mus[members[len(members) // 2]])
-        column = _beta_column(j, anchor - g_lo, a0, b, u, v, log_u, log_v)
+        column = _beta_column(j, anchor - g_lo, a0, b, split)
         for k in members:
             lo, hi = windows[k]
             mode = int(mus[k])
@@ -390,15 +390,14 @@ def _mixture_sums(
                 # the continued fraction is good to ~1e-12 only, with an error
                 # that differs from mode to mode.  Moving the anchor shifts
                 # the whole column, so the normalised sum shifts alike.
-                total += _beta_anchor(a0 + mode, b, u, v, log_u, log_v)[0] - float(column[mode - g_lo])
+                total += _beta_anchor(a0 + mode, b, split)[0] - float(column[mode - g_lo])
             totals.append(total)
         del j, column  # before the next group allocates its own
     return totals
 
 
 def _mixture_sum(j: np.ndarray, column: np.ndarray, mu: float, mode: int) -> float:
-    # The Poisson(mu) mixture of the beta values ``column`` at the terms
-    # ``j``, with its weights normalised over them.
+    # The Poisson(mu) mixture of ``column`` at the terms ``j``, weights normalised over them.
     weights = _poisson_weights(j, mu, mode)
     mass = float(weights.sum())
     # A plain product and sum: a BLAS dot of a long window wakes every BLAS
@@ -407,9 +406,10 @@ def _mixture_sum(j: np.ndarray, column: np.ndarray, mu: float, mode: int) -> flo
     return float(weights.sum()) / mass
 
 
-def _beta_anchor(a: float, b: float, u: float, v: float, log_u: float, log_v: float) -> tuple[float, float]:
+def _beta_anchor(a: float, b: float, split: _Split) -> tuple[float, float]:
     """I_u(a, b) and log(u^a v^b / B(a, b)), v = 1 - u, by the continued
     fraction that suits u and a."""
+    u, v, log_u, log_v = split
     log_bt = _log_beta_prefactor(a, b, log_u, log_v)
     # Each continued fraction converges fast below its switch point.  Near
     # u = 1 the one in u amplifies the rounding of u (1e-11 at lambda = 2e6),
@@ -422,36 +422,40 @@ def _beta_anchor(a: float, b: float, u: float, v: float, log_u: float, log_v: fl
     return _inc_beta_cf(u, v, a, b, log_bt, in_u), log_bt
 
 
-def _beta_column(
-    j: np.ndarray, mode: int, a0: float, b: float, u: float, v: float, log_u: float, log_v: float
+def _log_terms(
+    j: np.ndarray, mode: int, a0: float, b: float, log_u: float, log_bt: float, out: np.ndarray
 ) -> np.ndarray:
+    """``out``, holding log T_j for the consecutive integers ``j`` (as
+    floats): T_j = I_u(a0 + j, b) - I_u(a0 + j + 1, b) = u^a v^b / (a B(a, b)),
+    a = a0 + j, given log(u^a v^b / B(a, b)) at j[mode].
+
+    Cumulative sums of log(T_j / T_(j-1)) = log u + log1p((b - 1) / (a0 + j))
+    from the anchor, in log space so that an underflowed T at the anchor
+    never meets an overflowed ratio product.  One scratch array.
+    """
+    out[0] = 0.0
+    np.add(j[1:], a0, out=out[1:])
+    np.divide(b - 1.0, out[1:], out=out[1:])
+    np.log1p(out[1:], out=out[1:])
+    np.add.accumulate(out, out=out)
+    linear = np.subtract(j, j[mode])
+    linear *= log_u
+    linear += log_bt - log(a0 + j[mode]) - out[mode]
+    out += linear
+    return out
+
+
+def _beta_column(j: np.ndarray, mode: int, a0: float, b: float, split: _Split) -> np.ndarray:
     """I_u(a0 + j, b) for the consecutive integers ``j`` (as floats), with
     the anchor j[mode] not the last of them.
 
-    ``_beta_anchor`` gives the value at the anchor; the others come from
-    the decrements T_j = I(a0 + j) - I(a0 + j + 1) on both sides, summed
-    in log space so that an underflowed T at the anchor never meets an
-    overflowed ratio product.  Two work arrays beside ``j``, updated in
-    place: a scratch array and the column, which holds in turn
-    log T_(j-1) - log T_lo, T_(j-1), the partial sums T_lo + ... + T_(j-1)
-    and I(a0 + j).
+    ``_beta_anchor`` gives the value at the anchor, and the decrements of
+    ``_log_terms`` the others.  The column is updated in place: it holds
+    in turn log T_(j-1), T_(j-1), T_lo + ... + T_(j-1) and I(a0 + j).
     """
-    anchor = int(j[mode])
-    a_m = a0 + anchor
-    i0, log_bt = _beta_anchor(a_m, b, u, v, log_u, log_v)
-
-    # T_j / T_(j-1) = u (1 + (b - 1) / (a0 + j))
+    i0, log_bt = _beta_anchor(a0 + int(j[mode]), b, split)
     column = np.zeros_like(j)
-    np.add(j[1:-1], a0, out=column[2:])
-    np.divide(b - 1.0, column[2:], out=column[2:])
-    np.log1p(column[2:], out=column[2:])
-    np.add.accumulate(column, out=column)
-    shift = log_bt - log(a_m) - column[mode + 1]
-    linear = np.subtract(j, anchor)
-    linear *= log_u
-    linear += shift
-    column[1:] += linear[:-1]
-    del linear
+    _log_terms(j[:-1], mode, a0, b, split[2], log_bt, column[1:])
     # Terms below e^-700 add nothing visible; clamping them keeps exp and
     # the sums off subnormals, which run about 100x slower.
     np.maximum(column, _LOG_TINY, out=column)
@@ -463,20 +467,13 @@ def _beta_column(
 
 
 def _cumfnc_sums(
-    x: float, df1: float, df2: float, mus: list[float], windows: list[tuple[int, int]], groups: list
+    split: _Split, a0: float, b: float, mus: list[float], windows: list[tuple[int, int]], groups: list
 ) -> list[float]:
     # The cdflib profile: per group, the two beta-decrement ratio columns;
-    # per node, ``_cumfnc`` over its window, widened if a stop falls outside.
-    prod = df1 * x
-    dsum = df2 + prod
-    yy = df2 / dsum
-    if yy > 0.5:
-        xx = prod / dsum
-        yy = 1.0 - xx
-    else:
-        xx = 1.0 - yy
-    a0 = 0.5 * df1
-    b = 0.5 * df2
+    # per node, ``_cumfnc`` over its window, widened if a stop falls outside;
+    # the larger of u, v is 1 minus the smaller, as the legacy loop forms it.
+    u, v = split[:2]
+    xx, yy = (u, 1.0 - u) if v > 0.5 else (1.0 - v, v)
     totals = []
     for g_lo, g_hi, members in groups:
         columns = _cumfnc_ratios(g_lo, g_hi, a0, b, xx)
@@ -596,35 +593,37 @@ def _cumfnc(
 def noncentral_f_pdf(x: float, p: NoncentralParams) -> float:
     """Density of the noncentral F distribution at x > 0.
 
-    The CDF's Poisson mixture with beta densities d_j in place of the
-    beta CDFs, summed in one numpy pass over the same window and with the
-    same normalised weights.  d_j at the mode comes from
-    ``_log_beta_prefactor`` (so through ``_lgamma_shift``); the others
-    from cumulative sums of log(d_(j+1) / d_j) = log u + log1p(b / (a0 + j)).
-
-    Raises EvaluationError, before any work, when the window exceeds
-    ``_TERM_CAP`` terms.
+    The beta density at u is a T_j / (u v), with T_j the CDF's beta
+    decrements at a = df1/2 + j, and du/dx = u v / x, so f(x) = sum_j w_j
+    (df1/2 + j) T_j / x over the CDF's window and weights (``_f_pdf_over``).
+    Raises DomainError for x <= 0 or NaN, and EvaluationError, before any
+    work, when the window exceeds ``_TERM_CAP`` terms.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
-    u = p.df1 * x / (p.df1 * x + p.df2)
-    if u >= 1.0:
+    return _f_pdf_over(x, p, x)
+
+
+def _f_pdf_over(x: float, p: NoncentralParams, over: float) -> float:
+    """x f(x) / over = sum_j w_j (df1/2 + j) T_j / over for the density f of ``p``.
+
+    The terms leave log space scaled by the largest T_j, which comes back
+    only in the quotient: where every term is below the CDF's e^-700 floor
+    the density stays relative-accurate, and the floor makes up no value.
+    0.0 where the quotient is below e^-700 or u or v is 0.
+    """
+    u, v, log_u, log_v = _split(p.df1 * x, p.df2)
+    if not (u > 0.0 and v > 0.0):
         return 0.0
-    u = u if u > 0.0 else _FPMIN
-    v = p.df2 / (p.df1 * x + p.df2)
-    log_u, log_v = (log(u), log1p(-u)) if u < 0.5 else (log1p(-v), log(v))
-    dudx = p.df1 * p.df2 / (p.df1 * x + p.df2) ** 2
-    a0 = 0.5 * p.df1
-    b = 0.5 * p.df2
-    half = 0.5 * p.noncentrality
-    lo, hi = _poisson_window(half)
-    j0 = int(half)
-    mode = j0 - lo
+    a0, b, mu = 0.5 * p.df1, 0.5 * p.df2, 0.5 * p.noncentrality
+    lo, hi = _poisson_window(mu)
+    mode = int(mu) - lo
     j = np.arange(lo, hi + 1, dtype=float)
-    log_d0 = _log_beta_prefactor(a0 + j0, b, log_u, log_v) - log_u - log_v
-    log_d = np.zeros_like(j)
-    np.log1p(b / (a0 + j[:-1]), out=log_d[1:])
-    np.add.accumulate(log_d, out=log_d)
-    log_d += (j - j0) * log_u + (log_d0 - log_d[mode])
-    np.maximum(log_d, _LOG_TINY, out=log_d)
-    return _mixture_sum(j, np.exp(log_d, out=log_d), half, mode) * dudx
+    terms = _log_terms(j, mode, a0, b, log_u, _log_beta_prefactor(a0 + int(mu), b, log_u, log_v), np.empty_like(j))
+    top = float(terms.max())
+    terms -= top
+    np.exp(terms, out=terms)
+    terms *= j + a0
+    scale = top - log(over)
+    total = _mixture_sum(j, terms, mu, mode)
+    return total * exp(scale) if total > 0.0 and scale + log(total) > _LOG_TINY else 0.0

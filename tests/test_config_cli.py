@@ -296,3 +296,16 @@ class TestCli:
 
     def test_missing_file_exit_code(self):
         assert main(["design", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_density_nonpositive_points_usage_error(self, points, capsys):
+        assert main(["density", "--gamma0", "0.1", "--points", points]) == 2
+        assert "error [usage]: --points must be >= 1" in capsys.readouterr().err
+
+    def test_directory_paths_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["design", "--config", str(tmp_path)]) == 2
+        assert main(["monitor", "--config", path, str(tmp_path)]) == 2
+        assert main(["design", "--config", path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error [usage]: ") for line in err)

@@ -130,10 +130,38 @@ class TestCv2Cdf:
         assert abs(cv2_cdf(x, 15, 0.05) - emp) <= 3 * se
 
 
+def _mp_cv2_pdf(x, n, gamma):
+    """(n / x^2) f_F(n / x | 1, n - 1, n / gamma^2) in 30-digit mpmath: the
+    Poisson mixture of beta densities at u = n / (n + (n - 1) x), summed
+    from j = 0 until the weights fall below 1e-40 past the mode."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x, n = mp.mpf(x), mp.mpf(n)
+        half = n / (2 * mp.mpf(gamma) ** 2)
+        a0, b = mp.mpf(1) / 2, (n - 1) / 2
+        u, v = n / (n + (n - 1) * x), (n - 1) * x / (n + (n - 1) * x)
+        dudy = v * v / (n - 1)  # du/dy at y = n / x: (n - 1) / (y + n - 1)^2
+        total, j = mp.mpf(0), 0
+        while True:
+            w = mp.exp(-half + j * mp.log(half) - mp.loggamma(j + 1))
+            total += w * mp.exp((a0 + j - 1) * mp.log(u) + (b - 1) * mp.log(v) - mp.log(mp.beta(a0 + j, b)))
+            if j > half and w < mp.mpf(10) ** -40:
+                return float(total * dudy * n / x**2)
+            j += 1
+
+
 class TestCv2Pdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             cv2_pdf(0.0, 5, 0.2)
+
+    def test_tiny_x(self):
+        # every term of the mixture is below e^-700 from x ~ 5e-155 down,
+        # n / x^2 overflows below 1.7e-154, and n / x below 2.8e-308
+        for x in (1e-60, 1e-100, 1e-155, 1e-160, 1e-200):
+            assert cv2_pdf(x, 5, 0.1) == pytest.approx(_mp_cv2_pdf(x, 5, 0.1), rel=1e-10, abs=0.0)
+        assert cv2_pdf(1e-320, 5, 0.1) == 0.0
 
     def test_normalization(self):
         from scipy.integrate import quad

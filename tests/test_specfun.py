@@ -499,6 +499,13 @@ class TestNoncentralFPdf:
         reference = _mp_noncentral_f_pdf(x, 1.0, df2, lam)
         assert noncentral_f_pdf(x, NoncentralParams(1.0, df2, lam)) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
+    # u = df1 x / (df1 x + df2) rounds to 1 at each of these; v carries the
+    # tail (mpmath: 1.47756400148e-23, 2.32e-49 and 1.01e-38)
+    @pytest.mark.parametrize("x,df2,lam", [(9e16, 1.0, 1e6), (1e17, 4.0, 5.0), (1e20, 2.0, 100.0)])
+    def test_tail_where_u_rounds_to_one(self, x, df2, lam):
+        reference = _mp_noncentral_f_pdf(x, 1.0, df2, lam)
+        assert noncentral_f_pdf(x, NoncentralParams(1.0, df2, lam)) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         df2=hs.floats(1.0, 200.0),
