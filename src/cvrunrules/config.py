@@ -36,6 +36,11 @@ class ChartConfig:
     limits: Mapping[str, float] = field(default_factory=dict)
 
 
+def _limit_label(rule: RunRule) -> str:
+    """The key of a rule's preset limit in ``limits``, e.g. "2of3-upper"."""
+    return f"{rule.r}of{rule.s}-{rule.direction.value}"
+
+
 def _require_finite(value: float, where: str) -> float:
     try:
         value = float(value)
@@ -101,7 +106,7 @@ def parse_config(doc: Mapping) -> ChartConfig:
     limits_doc = doc.get("limits", {})
     if not isinstance(limits_doc, Mapping):
         raise ConfigError("limits: expected an object of rule-label -> limit")
-    rule_labels = {f"{r.r}of{r.s}-{r.direction.value}" for r in rules}
+    rule_labels = {_limit_label(r) for r in rules}
     limits: dict[str, float] = {}
     for label, value in limits_doc.items():
         if label not in rule_labels:

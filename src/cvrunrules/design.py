@@ -176,6 +176,18 @@ def _p_star(r: int, s: int, arl0: float) -> float:
     return -math.expm1(-_root(excess, lo, hi, f_lo, f_hi))
 
 
+def _incontrol_moments(pm: ProcessModel, me: Optional[MeasurementErrorModel]) -> tuple[float, Cv2Moments]:
+    """The observed in-control CV and the squared-CV moments a chart's limit
+    is anchored to."""
+    me = me if me is not None else MeasurementErrorModel.identity()
+    gamma_in = merror.observed_cv_incontrol(pm.gamma0, me)
+    if not 0.0 < gamma_in < 0.5:
+        raise GammaDomainError(
+            f"observed in-control CV {gamma_in:.6g} is outside the validity window"
+        )
+    return gamma_in, moments_for_gamma(gamma_in, pm.n)
+
+
 def solve_design(
     rule: RunRule,
     pm: ProcessModel,
@@ -192,13 +204,7 @@ def solve_design(
     """
     if not arl0 > 1.0:
         raise DomainError(f"arl0 must exceed 1, got {arl0}")
-    me = me if me is not None else MeasurementErrorModel.identity()
-    gamma_in = merror.observed_cv_incontrol(pm.gamma0, me)
-    if not 0.0 < gamma_in < 0.5:
-        raise GammaDomainError(
-            f"observed in-control CV {gamma_in:.6g} is outside the validity window"
-        )
-    moments = moments_for_gamma(gamma_in, pm.n)
+    gamma_in, moments = _incontrol_moments(pm, me)
     p_star = _p_star(rule.r, rule.s, arl0)
     logit_star = math.log(p_star / (1.0 - p_star))
 
@@ -246,6 +252,11 @@ def arl_at_shift(
     return metrics
 
 
+# ``leggauss`` solves an n x n companion matrix: 8 MB at 1024 nodes, 7 GB
+# at 30 000.  64 nodes already reach 5e-14 on the paper's charts.
+_MAX_NODES = 1024
+
+
 @functools.lru_cache
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: each
@@ -270,9 +281,13 @@ def earl(
     Gauss-Legendre quadrature.
 
     Shifts are realized with the standard-deviation multiplier b held
-    fixed (default 1) and the mean-shift component following tau.
+    fixed (default 1) and the mean-shift component following tau.  The
+    node count runs from 8 to ``_MAX_NODES``.
     """
-    x, w = _gauss_legendre(as_integer(nodes, "nodes", 8))
+    nodes = as_integer(nodes, "nodes", 8)
+    if nodes > _MAX_NODES:
+        raise DomainError(f"nodes must be <= {_MAX_NODES}, got {nodes}")
+    x, w = _gauss_legendre(nodes)
     me = me if me is not None else MeasurementErrorModel.identity()
     half_width = 0.5 * (shift_range.hi - shift_range.lo)
     mid = 0.5 * (shift_range.hi + shift_range.lo)
@@ -288,6 +303,25 @@ def earl(
     return total * half_width / (shift_range.hi - shift_range.lo)
 
 
+# The model axes of a sweep, in column and product order, with their defaults.
+_SWEEP_AXES = (("n", 5), ("gamma0", 0.05), ("theta", 0.0), ("eta", 0.0), ("B", 1.0), ("m", 1))
+SWEEP_COLUMNS: tuple[str, ...] = (
+    "rule_r",
+    "rule_s",
+    "direction",
+    *(axis for axis, _ in _SWEEP_AXES),
+    "tau",
+    "omega_lo",
+    "omega_hi",
+    "k",
+    "limit",
+    "arl",
+    "sdrl",
+    "earl",
+    "error",
+)
+
+
 def sweep(
     rules: Sequence[RunRule],
     grid: Mapping[str, Sequence[float]],
@@ -301,16 +335,12 @@ def sweep(
     Recognized grid axes (each an iterable): gamma0, n, theta, eta, B, m,
     tau, and optionally shift ranges via omega = [(lo, hi), ...].  Exactly
     one of tau / omega drives the performance column: tau rows emit
-    ARL/SDRL, omega rows emit EARL.  Per-cell failures are recorded in the
-    row's ``error`` column and the sweep continues.
+    ARL/SDRL, omega rows emit EARL.  Each row's keys are ``SWEEP_COLUMNS``
+    in order.  Per-cell failures, of the design or of the shift, are
+    recorded in the row's ``error`` column and the sweep continues.
     """
     axes = dict(grid)
-    gamma0s = list(axes.pop("gamma0", [0.05]))
-    ns = list(axes.pop("n", [5]))
-    thetas = list(axes.pop("theta", [0.0]))
-    etas = list(axes.pop("eta", [0.0]))
-    slopes = list(axes.pop("B", [1.0]))
-    reps = list(axes.pop("m", [1]))
+    levels = [list(axes.pop(axis, [default])) for axis, default in _SWEEP_AXES]
     taus = axes.pop("tau", None)
     omegas = axes.pop("omega", None)
     if axes:
@@ -318,81 +348,34 @@ def sweep(
     if (taus is None) == (omegas is None):
         raise DomainError("exactly one of 'tau' or 'omega' must be supplied")
 
-    shift_cells = list(taus) if taus is not None else list(omegas)
-    is_tau = taus is not None
+    # (tau, omega_lo, omega_hi) per shift cell
+    if taus is not None:
+        shift_cells = [(float(tau), None, None) for tau in taus]
+    else:
+        shift_cells = [(None, lo, hi) for lo, hi in omegas]
     rows: list[dict[str, object]] = []
-    for rule, n, gamma0, theta, eta, slope, m in itertools.product(
-        rules, ns, gamma0s, thetas, etas, slopes, reps
-    ):
-        base = {
-            "rule_r": rule.r,
-            "rule_s": rule.s,
-            "direction": rule.direction.value,
-            "n": n,
-            "gamma0": gamma0,
-            "theta": theta,
-            "eta": eta,
-            "B": slope,
-            "m": m,
-        }
+    for rule, *cell in itertools.product(rules, *levels):
+        n, gamma0, theta, eta, slope, m = cell
+        design, design_error = None, None
         try:
             me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
             pm = ProcessModel(gamma0=gamma0, n=n)
             design = solve_design(rule, pm, me, arl0, profile=profile)
         except Exception as exc:  # per-cell capture by contract
-            for cell in shift_cells:
-                row = dict(base, k=None, limit=None)
-                _fill_shift_columns(row, cell, is_tau)
-                row.update(arl=None, sdrl=None, earl=None, error=str(exc))
-                rows.append(row)
-            continue
-        for cell in shift_cells:
-            row = dict(base, k=design.k, limit=design.limit)
-            _fill_shift_columns(row, cell, is_tau)
-            try:
-                if is_tau:
-                    metrics = arl_at_shift(
-                        design, pm, me, ShiftSpec.from_tau(float(cell), gamma0), profile=profile
-                    )
-                    row.update(arl=metrics.arl, sdrl=metrics.sdrl, earl=None, error=None)
-                else:
-                    lo, hi = cell
-                    value = earl(design, pm, me, ShiftRange(lo, hi), nodes=nodes, profile=profile)
-                    row.update(arl=None, sdrl=None, earl=value, error=None)
-            except Exception as exc:
-                row.update(arl=None, sdrl=None, earl=None, error=str(exc))
-            rows.append(row)
+            design_error = str(exc)
+        k, limit = (design.k, design.limit) if design is not None else (None, None)
+        for tau, lo, hi in shift_cells:
+            arl = sdrl = value = None
+            error = design_error
+            if design is not None:
+                try:
+                    if tau is not None:
+                        metrics = arl_at_shift(design, pm, me, ShiftSpec.from_tau(tau, gamma0), profile=profile)
+                        arl, sdrl = metrics.arl, metrics.sdrl
+                    else:
+                        value = earl(design, pm, me, ShiftRange(lo, hi), nodes=nodes, profile=profile)
+                except Exception as exc:
+                    error = str(exc)
+            values = (rule.r, rule.s, rule.direction.value, *cell, tau, lo, hi, k, limit, arl, sdrl, value, error)
+            rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
     return rows
-
-
-def _fill_shift_columns(row: dict[str, object], cell: object, is_tau: bool) -> None:
-    if is_tau:
-        row["tau"] = float(cell)  # type: ignore[arg-type]
-        row["omega_lo"] = row["omega_hi"] = None
-    else:
-        lo, hi = cell  # type: ignore[misc]
-        row["tau"] = None
-        row["omega_lo"] = lo
-        row["omega_hi"] = hi
-
-
-SWEEP_COLUMNS: tuple[str, ...] = (
-    "rule_r",
-    "rule_s",
-    "direction",
-    "n",
-    "gamma0",
-    "theta",
-    "eta",
-    "B",
-    "m",
-    "tau",
-    "omega_lo",
-    "omega_hi",
-    "k",
-    "limit",
-    "arl",
-    "sdrl",
-    "earl",
-    "error",
-)

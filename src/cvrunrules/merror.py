@@ -87,6 +87,9 @@ class ShiftSpec:
     gamma0: float
 
     def __post_init__(self) -> None:
+        for name in ("tau", "b", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tau > 0:
             raise DomainError(f"tau must be positive, got {self.tau}")
         if not self.b > 0:
@@ -94,7 +97,7 @@ class ShiftSpec:
         denom = 1.0 + self.a * self.gamma0
         if not denom > 0:
             raise DomainError(f"1 + a*gamma0 must be positive, got {denom}")
-        if abs(self.tau - self.b / denom) > _AB_CONSISTENCY_TOL * max(1.0, self.tau):
+        if not abs(self.tau - self.b / denom) <= _AB_CONSISTENCY_TOL * max(1.0, self.tau):
             raise DomainError(
                 f"inconsistent shift: tau={self.tau} but b/(1+a*gamma0)={self.b / denom}"
             )

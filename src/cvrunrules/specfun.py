@@ -198,12 +198,13 @@ def _split(dx: float, d2: float) -> _Split:
 
     v is not 1 - u: u rounds to 1 from dx / d2 ~ 1e16 on, but v holds the
     tail until dx overflows.  The larger of u, v has log1p of the smaller
-    as its log.  A log of 0 is -inf; callers test u > 0 and v > 0 first.
+    as its log.  Where u underflows but dx does not, log u is still
+    log dx - log s; the log of a u = 0 at dx = 0 is -inf.
     """
     s = dx + d2
     u, v = dx / s, d2 / s
     if u < 0.5:
-        return u, v, log(u) if u > 0.0 else -math.inf, log1p(-u)
+        return u, v, log(dx) - log(s) if dx > 0.0 else -math.inf, log1p(-u)
     return u, v, log1p(-v), log(v) if v > 0.0 else -math.inf
 
 
@@ -610,10 +611,10 @@ def _f_pdf_over(x: float, p: NoncentralParams, over: float) -> float:
     The terms leave log space scaled by the largest T_j, which comes back
     only in the quotient: where every term is below the CDF's e^-700 floor
     the density stays relative-accurate, and the floor makes up no value.
-    0.0 where the quotient is below e^-700 or u or v is 0.
+    0.0 where the quotient is below e^-700, at x = 0, or where v is 0.
     """
-    u, v, log_u, log_v = _split(p.df1 * x, p.df2)
-    if not (u > 0.0 and v > 0.0):
+    _, v, log_u, log_v = _split(p.df1 * x, p.df2)
+    if not (math.isfinite(log_u) and v > 0.0):
         return 0.0
     a0, b, mu = 0.5 * p.df1, 0.5 * p.df2, 0.5 * p.noncentrality
     lo, hi = _poisson_window(mu)

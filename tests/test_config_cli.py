@@ -14,6 +14,7 @@ import cvrunrules
 from cvrunrules import cli
 from cvrunrules.cli import main
 from cvrunrules.config import parse_config
+from cvrunrules.design import SWEEP_COLUMNS
 from cvrunrules.errors import ConfigError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -273,6 +274,34 @@ class TestCli:
         assert main(["simulate", "--config", path, "--rule", "4,5,lower",
                      "--replications", "10"]) == 2
 
+    def test_simulate_fails_before_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        # at tau = 0.01 the 2-of-3 upper chart never signals: the exact ARL
+        # refuses p = 1, so no replication may run max_run_length steps first
+        def no_monte_carlo(*args, **kwargs):
+            raise AssertionError("estimate_run_length was called")
+
+        monkeypatch.setattr(cli, "estimate_run_length", no_monte_carlo)
+        path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", path, "--rule", "2,3,upper", "--tau", "0.01",
+                     "--replications", "10", "--max-run-length", "1000000"]) == 3
+        assert "error [numeric]" in capsys.readouterr().err
+
+    def test_evaluate_non_finite_b_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["evaluate", "--config", path, "--tau", "1.5", "--b", "inf"]) == 2
+        assert "error [usage]: b must be finite" in capsys.readouterr().err
+
+    def test_earl_node_cap_usage_error(self, tmp_path, capsys, monkeypatch):
+        import cvrunrules.design as design_mod
+
+        def no_leggauss(nodes):
+            raise AssertionError("leggauss was reached")
+
+        monkeypatch.setattr(design_mod, "_gauss_legendre", no_leggauss)
+        path = write_config(tmp_path, base_config())
+        assert main(["earl", "--config", path, "--omega", "1", "2", "--nodes", "100000000"]) == 2
+        assert "error [usage]: nodes must be <= 1024" in capsys.readouterr().err
+
     def test_density_grid(self, tmp_path):
         out = tmp_path / "density.csv"
         assert main(["density", "--gamma0", "0.05", "0.1", "0.2", "--n", "5",
@@ -309,3 +338,33 @@ class TestCli:
         assert main(["design", "--config", path, "--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all(line.startswith("error [usage]: ") for line in err)
+
+
+# Each command's declared columns, and a small run of it.
+COMMAND_COLUMNS = [
+    ("design", ["--config", EXAMPLE_CONFIG, "--cdf", "cdflib"], cli._DESIGN_COLUMNS),
+    ("evaluate", ["--config", EXAMPLE_CONFIG, "--tau", "1.5", "--cdf", "cdflib"], cli._EVALUATE_COLUMNS),
+    ("earl", ["--config", EXAMPLE_CONFIG, "--omega", "1", "2", "--nodes", "16"], cli._EARL_COLUMNS),
+    ("sweep", ["--config", EXAMPLE_CONFIG, "--tau", "1.5", "--n", "1", "5", "--cdf", "cdflib"],
+     SWEEP_COLUMNS),
+    ("simulate", ["--config", EXAMPLE_CONFIG, "--rule", "2,3,upper", "--tau", "1.5",
+                  "--replications", "50", "--cdf", "cdflib"], cli._SIMULATE_COLUMNS),
+    ("monitor", ["--config", EXAMPLE_CONFIG, EXAMPLE_DATA, "--cdf", "cdflib"], cli._MONITOR_COLUMNS),
+    ("density", ["--gamma0", "0.1", "--points", "3"], cli._DENSITY_COLUMNS),
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command,argv,columns", COMMAND_COLUMNS, ids=[c[0] for c in COMMAND_COLUMNS])
+def test_every_format_carries_the_declared_columns(command, argv, columns, fmt, capsys):
+    assert main([command, *argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "table":
+        if command == "monitor":
+            columns = cli._MONITOR_SUMMARY_COLUMNS  # one summary row per chart
+        assert out.splitlines()[0].split() == list(columns)
+    elif fmt == "csv":
+        assert next(csv.reader(io.StringIO(out))) == list(columns)
+    else:
+        rows = json.loads(out)
+        assert rows and all(list(row) == list(columns) for row in rows)

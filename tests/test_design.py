@@ -282,6 +282,26 @@ class TestEarl:
         expected = float(np.dot(w, arls)) * half / (shift_range.hi - shift_range.lo)
         assert earl(d, pm, me, shift_range, profile=profile) == pytest.approx(expected, rel=1e-12)
 
+    def test_node_count_capped_before_leggauss(self, monkeypatch):
+        # leggauss's companion matrix is nodes x nodes: 10**8 nodes would ask
+        # for 80 PB, so the count is refused before any node is computed
+        import cvrunrules.design as design_mod
+
+        class Reached(Exception):
+            pass
+
+        def no_leggauss(nodes):
+            raise Reached(nodes)
+
+        monkeypatch.setattr(design_mod, "_gauss_legendre", no_leggauss)
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(rule(2, 3, "upper"), pm)
+        with pytest.raises(Reached):
+            earl(d, pm, None, INCREASING_SHIFTS, nodes=design_mod._MAX_NODES)
+        for nodes in (design_mod._MAX_NODES + 1, 10**8):
+            with pytest.raises(DomainError, match="nodes must be <="):
+                earl(d, pm, None, INCREASING_SHIFTS, nodes=nodes)
+
     def test_node_doubling_stability(self):
         pm = ProcessModel(0.05, 5)
         d = solve_design(rule(2, 3, "upper"), pm)

@@ -106,6 +106,23 @@ class TestShiftSpec:
         with pytest.raises(DomainError):
             ShiftSpec(tau=0.8, a=0.0, b=1.0, gamma0=0.05)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShiftSpec.from_tau(1.5, 0.1, b=math.inf),
+            lambda: ShiftSpec.from_tau(1.5, 0.1, b=math.nan),
+            lambda: ShiftSpec.from_tau(math.inf, 0.1),
+            lambda: ShiftSpec(tau=math.nan, a=0.0, b=1.0, gamma0=0.1),
+            lambda: ShiftSpec(tau=1.0, a=math.nan, b=1.0, gamma0=0.1),
+            lambda: ShiftSpec(tau=math.inf, a=math.inf, b=math.inf, gamma0=0.1),
+        ],
+        ids=["b-inf", "b-nan", "tau-inf", "tau-nan", "a-nan", "all-inf"],
+    )
+    def test_non_finite_fields_rejected(self, make):
+        # inf / inf made the consistency residual NaN, which compared as consistent
+        with pytest.raises(DomainError, match="must be"):
+            make()
+
     def test_in_control(self):
         shift = ShiftSpec.in_control(0.1)
         assert shift.is_in_control

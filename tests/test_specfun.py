@@ -506,6 +506,13 @@ class TestNoncentralFPdf:
         reference = _mp_noncentral_f_pdf(x, 1.0, df2, lam)
         assert noncentral_f_pdf(x, NoncentralParams(1.0, df2, lam)) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
+    # u = x / (x + 4) underflows to 0 at the two smallest subnormal x, where
+    # the df1 = 1 density still grows like x^-1/2 (mpmath: 9.79e159, 1.38e160)
+    @pytest.mark.parametrize("x", [1e-323, 5e-324])
+    def test_where_u_underflows(self, x):
+        reference = _mp_noncentral_f_pdf(x, 1.0, 4.0, 5.0)
+        assert noncentral_f_pdf(x, NoncentralParams(1.0, 4.0, 5.0)) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         df2=hs.floats(1.0, 200.0),
