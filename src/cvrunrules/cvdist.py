@@ -41,11 +41,14 @@ GAMMA_VALIDITY_LIMIT = 0.5
 # CDF evaluation profiles: "exact" is the tight-tolerance kernel;
 # "cdflib" reproduces legacy library truncation (see specfun).
 _PROFILES = ("exact", "cdflib")
+# n / gamma^2 stays finite above this floor for every n under 1.8e8; below
+# it gamma^2 nears underflow, and n / gamma^2 overflows or divides by zero.
+_GAMMA_FLOOR = 1e-150
 
 
 def _check_gamma(gamma: float, force: bool) -> None:
-    if not 0.0 < gamma < math.inf:  # force opens the window, never to inf or NaN
-        raise GammaDomainError(f"gamma must be positive and finite, got {gamma}")
+    if not _GAMMA_FLOOR <= gamma < math.inf:  # force opens the window, never to inf or NaN
+        raise GammaDomainError(f"gamma must be finite and at least {_GAMMA_FLOOR}, got {gamma}")
     if gamma >= GAMMA_VALIDITY_LIMIT and not force:
         raise GammaDomainError(
             f"gamma = {gamma} is outside the validity window (0, {GAMMA_VALIDITY_LIMIT}); "
@@ -117,6 +120,13 @@ def _cv2_cdf_levels(
         return [0.0] * len(gammas)
     lams = [n / (gamma * gamma) for gamma in gammas]
     return [1.0 - c for c in specfun._f_cdf_levels(n / x, 1.0, float(n - 1), lams, cdflib=profile == "cdflib")]
+
+
+def _cv2_cdf_pdf(x: float, n: int, gamma: float) -> tuple[float, float]:
+    """``cv2_cdf`` and ``cv2_pdf`` at x > 0 for a checked level, from one
+    kernel pass (``specfun._f_cdf_pdf``)."""
+    cdf, yf = specfun._f_cdf_pdf(n / x, _f_params(n, gamma))
+    return 1.0 - cdf, yf / x
 
 
 def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:

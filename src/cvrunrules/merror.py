@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cvdist import cv2_cdf
+from .cvdist import _check_gamma, cv2_cdf
 from .errors import DomainError, as_integer
 
 __all__ = [
@@ -111,6 +111,7 @@ class ShiftSpec:
         ratio = b / tau
         if math.isfinite(b) and not math.isfinite(ratio):
             raise DomainError(f"tau={tau} is too small: b/tau overflows for b={b}")
+        _check_gamma(gamma0, force=True)
         a = (ratio - 1.0) / gamma0
         return cls(tau=tau, a=a, b=b, gamma0=gamma0)
 

@@ -92,6 +92,16 @@ class TestCvCdf:
             with pytest.raises(GammaDomainError, match="finite"):
                 law(0.5, 5, gamma, force=True)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-320])
+    def test_gamma_whose_square_underflows_rejected(self, gamma):
+        # gamma^2 underflows to 0: n / gamma^2 divided by zero (cv2_cdf,
+        # cv2_pdf) and the noncentrality went NaN (cv_cdf)
+        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+            with pytest.raises(GammaDomainError, match="at least 1e-150"):
+                law(0.5, 5, gamma)
+        with pytest.raises(GammaDomainError):
+            ProcessModel(gamma, 5)
+
 
 class TestCv2Cdf:
     def test_cross_law_agreement(self):

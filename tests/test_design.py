@@ -98,6 +98,11 @@ class TestSolveDesign:
         with pytest.raises(DomainError):
             solve_design(rule(2, 3, "upper"), ProcessModel(0.1, 5), arl0=0.5)
 
+    def test_infinite_arl0_rejected(self):
+        # log(ARL / inf) = log(0) in the chain search raised "math domain error"
+        with pytest.raises(DomainError, match="arl0 must be finite"):
+            solve_design(rule(2, 3, "upper"), ProcessModel(0.1, 5), arl0=np.inf)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_k_or_limit_rejected(self, bad):
         # a NaN limit used to pass the limit/k match (NaN compares false)
@@ -112,6 +117,104 @@ class TestSolveDesign:
             ChartDesign(rule=rule(2, 3, "upper"), k=bad, limit=0.03, arl0_target=DEFAULT_ARL0, moments=moments)
         with pytest.raises(DomainError, match="must be finite"):
             ChartDesign(rule=rule(2, 3, "upper"), k=1.0, limit=bad, arl0_target=DEFAULT_ARL0, moments=moments)
+
+
+class TestNewtonSolver:
+    """The chart constant by safeguarded Newton on one fused (F, x f) pass."""
+
+    @pytest.mark.parametrize("lam", [0.0, 125.0, 5e4, 2e6])
+    @pytest.mark.parametrize("df2", [4.0, 49.0, 199.0])
+    def test_fused_pass_matches_cdf_and_density(self, lam, df2):
+        from cvrunrules import specfun
+
+        params = specfun.NoncentralParams(1.0, df2, lam)
+        mean = (1.0 + lam) * df2 / (df2 - 2.0)
+        # the bulk, both sides of u = 1/2 (x = df2), and u rounding to 1
+        xs = [mean * f for f in (0.9, 1.0, 1.1)] + [0.5 * df2, 2.0 * df2, 1e17 * df2]
+        for x in xs:
+            cdf, xf = specfun._f_cdf_pdf(x, params)
+            assert cdf == specfun.noncentral_f_cdf(x, params), x
+            # the density itself underflows where x f(x) does not
+            pdf = specfun.noncentral_f_pdf(x, params)
+            expected = x * pdf if pdf > 0.0 else specfun._f_pdf_over(x, params, 1.0)
+            assert xf == pytest.approx(expected, rel=1e-13, abs=0.0), x
+        assert specfun._split(df2 * 1e17, df2)[0] == 1.0
+
+    def test_fused_pass_density_below_the_clamp(self):
+        # every decrement is below e^-700 here: clamped there, they would make
+        # the sum 24 times too large, so the density comes from scaled terms
+        from cvrunrules import specfun
+
+        params, x = specfun.NoncentralParams(1.0, 4.0, 5e4), 137.63
+        cdf, xf = specfun._f_cdf_pdf(x, params)
+        assert cdf == specfun.noncentral_f_cdf(x, params)
+        assert 0.0 < xf < 1e-300 and xf == pytest.approx(x * specfun.noncentral_f_pdf(x, params), rel=1e-13)
+
+    def test_kernel_passes_per_design(self, monkeypatch):
+        # 4.6 per design; the regula falsi on CDF calls took 9.5 on this grid
+        from cvrunrules import specfun
+
+        passes = [0]
+        for name in ("_f_cdf_levels", "_f_cdf_pdf", "_f_pdf_over"):
+            real = getattr(specfun, name)
+
+            def counted(*args, _real=real, **kwargs):
+                passes[0] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(specfun, name, counted)
+        me = MeasurementErrorModel(theta=0.05, eta=0.28)
+        counts = []
+        for r, s in ((1, 1), (2, 3), (3, 4), (4, 5), (5, 8)):
+            for direction in ("lower", "upper"):
+                for n in (5, 50, 200):
+                    for model in (None, me):
+                        passes[0] = 0
+                        solve_design(rule(r, s, direction), ProcessModel(0.1, n), model)
+                        counts.append(passes[0])
+        assert len(counts) == 60 and np.mean(counts) < 6.0
+
+    @pytest.mark.parametrize("profile", ["exact", "cdflib"])
+    @pytest.mark.parametrize(
+        "r,s,direction,gamma0,n,arl0,message",
+        [
+            (1, 1, "lower", 0.49, 50, 2.0, r"in-control ARL at k=0.0 is already above target 2.0"),
+            (1, 1, "upper", 0.49, 2, 370.4, r"target ARL 370.4 not reachable inside the bracket: k=20.0 falls short"),
+            (1, 1, "lower", 0.1, 5, 2.0**53, r"solved lower limit -\S+ is not positive; the chart cannot signal"),
+        ],
+        ids=["root-below-0", "root-above-20", "limit-not-positive"],
+    )
+    def test_unattainable_messages(self, profile, r, s, direction, gamma0, n, arl0, message):
+        # at ARL0 = 2^53 p* is the largest double below 1, which every lower
+        # limit <= 0 meets exactly
+        with pytest.raises(UnattainableDesignError, match=message):
+            solve_design(rule(r, s, direction), ProcessModel(gamma0, n), arl0=arl0, profile=profile)
+
+    def test_golden_designs_meet_arl0(self):
+        # the regula falsi stops at a logit gap or bracket of 1e-13, which
+        # leaves 5.99e-13 at 3-of-4 lower, gamma0 = 0.05, n = 15
+        from test_golden import load_rows, row_key, design_for, performance_for
+
+        rows = load_rows("chart_constants.csv")
+        worst = max(
+            abs(performance_for(design_for(row_key(row)), row_key(row), 1.0).arl / DEFAULT_ARL0 - 1.0) for row in rows
+        )
+        assert len(rows) == 36 and worst <= 6e-13
+
+    def test_p_star_unchanged_by_newton(self):
+        # p* takes the regula falsi on the chain alone; Newton on k must
+        # leave its values bit for bit
+        import cvrunrules.design as design_mod
+
+        p_star = {
+            (1, 1): "0x1.fe9e2247e1096p-1",
+            (2, 3): "0x1.ec4d266a79f06p-1",
+            (3, 4): "0x1.ca2b99b9b6a42p-1",
+            (4, 5): "0x1.a3b5f3c26be54p-1",
+            (5, 8): "0x1.a338ffa57bf8ep-1",
+        }
+        design_mod._p_star.cache_clear()
+        assert {rs: design_mod._p_star(*rs, DEFAULT_ARL0).hex() for rs in p_star} == p_star
 
 
 class TestPStar:

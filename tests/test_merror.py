@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvrunrules.cvdist import cv2_cdf
-from cvrunrules.errors import DomainError
+from cvrunrules.errors import DomainError, GammaDomainError
 from cvrunrules.merror import (
     MeasurementErrorModel,
     ShiftSpec,
@@ -128,6 +128,12 @@ class TestShiftSpec:
         # b/tau = inf would surface as "a must be finite", a field never passed
         with pytest.raises(DomainError, match=rf"tau={tau} is too small: b/tau overflows for b={b}"):
             ShiftSpec.from_tau(tau, 0.1, b=b)
+
+    @pytest.mark.parametrize("gamma0", [0.0, -0.1, math.nan])
+    def test_from_tau_checks_gamma0(self, gamma0):
+        # 0 divided by zero, a negative CV gave a shift, and NaN was blamed on a
+        with pytest.raises(GammaDomainError, match=rf"gamma must be finite and at least 1e-150, got {gamma0}"):
+            ShiftSpec.from_tau(1.5, gamma0)
 
     def test_in_control(self):
         shift = ShiftSpec.in_control(0.1)
