@@ -18,12 +18,14 @@ would leave the bracket there.  On the benchmark's ``design_grid`` that is
 regula falsi from both bracket ends, whose limits are pinned to the last
 bit (the example ``monitor`` run's CSV and JSON bytes).
 
-Every evaluation (``arl_at_shift``, ``earl``) goes through one helper: one
-batched CDF call (``specfun._f_cdf_levels``) gives the inside probability
-p at every CV level, and ``runrules.run_length_metrics`` solves the
-run-rule chain on its lumped matrix filled straight from p, so the full
-history chain is never built.  The 64 EARL nodes share one limit, so they
-share the kernel's beta column, and go to the chain as one stack.
+Every evaluation (``arl_at_shift``, ``earl``) gets the inside probability
+p at every CV level from one batched CDF call (``specfun._f_cdf_levels``)
+and solves the run-rule chain on its lumped matrix filled straight from
+p, so the full history chain is never built: ``arl_at_shift`` through
+``runrules.run_length_metrics``, and ``earl`` and the p* search, which
+read no SDRL, through its forward elimination alone (``runrules._arls``).
+The 64 EARL nodes share one limit, so they share the kernel's beta
+column, and go to the chain as one stack.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ _BRACKET = (0.0, 20.0)
 _TOL = 1e-13
 _MAX_ITER = 100
 _P_TOP = 1.0 - 2.0**-53
+# A lower limit mean - k*std below this fraction of the mean is mostly the
+# cancellation's rounding: its k cannot place the limit.
+_LIMIT_FLOOR = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -113,19 +118,10 @@ def _limit_for(k: float, direction: Direction, moments: Cv2Moments) -> float:
     return moments.mean + k * moments.std
 
 
-def _metrics_at_levels(
-    limit: float,
-    rule: RunRule,
-    n: int,
-    gammas: Sequence[float],
-    *,
-    profile: str,
-) -> list[RunLengthMetrics]:
-    """Exact run-length metrics of a chart at each observed CV level, which
-    may lie past the gamma validity window: one batched CDF call for all
-    levels, then one ``run_length_metrics`` call."""
-    ps = runrules._in_control_probs(rule.direction, limit, n, gammas, force=True, profile=profile)
-    return runrules.run_length_metrics(rule, ps)
+def _inside_probs(design: ChartDesign, n: int, gammas: Sequence[float], profile: str) -> list[float]:
+    """The chart's inside probability at each observed CV level, which may
+    lie past the gamma validity window, from one batched CDF call."""
+    return runrules._in_control_probs(design.rule.direction, design.limit, n, gammas, force=True, profile=profile)
 
 
 def _root(
@@ -206,8 +202,8 @@ def _p_star(r: int, s: int, arl0: float) -> float:
     rule = RunRule(r, s, Direction.UPPER)
 
     def excess(u: float) -> tuple[float, None]:
-        (metrics,) = runrules.run_length_metrics(rule, [-math.expm1(-u)])
-        return math.log(metrics.arl / arl0), None
+        (mean_rl,) = runrules._arls(rule, [-math.expm1(-u)])
+        return math.log(mean_rl / arl0), None
 
     step = math.log(2.0)
     lo, f_lo, hi, f_hi = 0.0, math.log(r / arl0), step, excess(step)[0]
@@ -287,9 +283,15 @@ def solve_design(
         # limits are pinned to the last bit (tests/test_config_cli.py).
         k = _root(by_profile, lo, hi, by_profile(lo)[0], by_profile(hi)[0])
     limit = _limit_for(k, rule.direction, moments)
-    if rule.direction is Direction.LOWER and limit <= 0.0:
+    if lower and limit <= 0.0:
         raise UnattainableDesignError(
             f"solved lower limit {limit:.6g} is not positive; the chart cannot signal"
+        )
+    if lower and limit < _LIMIT_FLOOR * moments.mean:
+        # the sign change found is the jump of p to 1 at limit = 0
+        raise UnattainableDesignError(
+            f"solved lower limit {limit:.6g} is below 2^-32 of the in-control mean {moments.mean:.6g}, "
+            "which mean - k*std cannot resolve; the target ARL sits at the jump at limit 0"
         )
     return ChartDesign(rule=rule, k=k, limit=limit, arl0_target=arl0, moments=moments)
 
@@ -311,7 +313,7 @@ def arl_at_shift(
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
     shift.check_gamma0(pm.gamma0)
     gamma_eval = merror.observed_cv_shifted(pm.gamma0, shift, me)
-    (metrics,) = _metrics_at_levels(design.limit, design.rule, pm.n, [gamma_eval], profile=profile)
+    (metrics,) = runrules.run_length_metrics(design.rule, _inside_probs(design, pm.n, [gamma_eval], profile))
     return metrics
 
 
@@ -362,10 +364,10 @@ def earl(
         merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(half_width * xi + mid, pm.gamma0, b=b), me)
         for xi in x
     ]
-    metrics = _metrics_at_levels(design.limit, design.rule, pm.n, gammas, profile=profile)
+    arls = runrules._arls(design.rule, _inside_probs(design, pm.n, gammas, profile))
     total = 0.0
-    for wi, m in zip(w, metrics):
-        total += wi * m.arl
+    for wi, mean_rl in zip(w, arls):
+        total += wi * mean_rl
     # weights integrate to the interval length; uniform density divides it out
     return total * half_width / (shift_range.hi - shift_range.lo)
 

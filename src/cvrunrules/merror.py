@@ -32,6 +32,7 @@ __all__ = [
 
 _AB_CONSISTENCY_TOL = 1e-9
 _GAMMA0_MATCH_RTOL = 1e-12
+_SQUARE_MAX = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,31 @@ class ShiftSpec:
 
 
 def shift_from_ab(a: float, b: float, gamma0: float) -> float:
-    """tau = b / (1 + a * gamma0)."""
-    if not b > 0:
-        raise DomainError(f"b must be positive, got {b}")
+    """tau = b / (1 + a * gamma0), which must be positive and finite."""
+    if not 0 < b < math.inf:
+        raise DomainError(f"b must be positive and finite, got {b}")
+    if not math.isfinite(a):
+        raise DomainError(f"a must be finite, got {a}")
     denom = 1.0 + a * gamma0
     if not denom > 0:
         raise DomainError(f"1 + a*gamma0 must be positive, got {denom}")
-    return b / denom
+    tau = b / denom
+    if not 0 < tau < math.inf:
+        raise DomainError(f"tau = b/(1 + a*gamma0) = {b}/{denom} is not positive and finite")
+    return tau
+
+
+def _check_squares(**values: float) -> None:
+    # The observed CV squares slope, eta and b; from 2^512 on, ** overflows.
+    for name, value in values.items():
+        if not value < _SQUARE_MAX:
+            raise DomainError(f"{name} must be below 2**511 for its square to stay finite, got {value}")
 
 
 def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
     """In-control CV of the observed (averaged) measurements."""
+    _check_gamma(gamma0, force=True)
+    _check_squares(slope=me.slope, eta=me.eta)
     denom = me.theta + me.slope
     if not denom > 0:
         raise DomainError(f"theta + B must be positive, got {denom}")
@@ -156,6 +171,7 @@ def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
 
 def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel) -> float:
     """Out-of-control CV of the observed measurements under the shift."""
+    _check_squares(slope=me.slope, eta=me.eta, b=shift.b)
     denom = me.theta + me.slope * shift.b / shift.tau
     if not denom > 0:
         raise DomainError(f"theta + B*b/tau must be positive, got {denom}")

@@ -219,14 +219,16 @@ def _poisson_window(mu: float) -> tuple[int, int]:
     t = L/3 + sqrt(L^2/9 + 2 L mu) with L = log(2 / _F_TAIL) ~ 32.9, i.e.
     about 8.1 sqrt(mu) + 22 terms on each side.  A window over
     ``_TERM_CAP`` terms raises EvaluationError, so callers that ask for
-    every window first fail before anything is allocated.
+    every window first fail before anything is allocated.  The cap is
+    checked on the width t + min(mu, t), not on hi - lo: past mu ~ 1e32,
+    mu +- t rounds to mu and the rounded window would hold two terms.
     """
     big_l = log(2.0 / _F_TAIL)
     t = big_l / 3.0 + sqrt(big_l * big_l / 9.0 + 2.0 * big_l * mu)
-    lo, hi = max(0, int(mu - t)), int(mu + t) + 1
-    if hi - lo + 1 > _TERM_CAP:
-        raise EvaluationError(f"Poisson window of {hi - lo + 1} terms exceeds {_TERM_CAP} (lambda={2 * mu})")
-    return lo, hi
+    width = t + min(mu, t)  # hi - lo + 1 exceeds width + 1 wherever mu +- t is exact
+    if width + 1.0 > _TERM_CAP:
+        raise EvaluationError(f"Poisson window of {width:.4g} terms exceeds {_TERM_CAP} (lambda={2 * mu})")
+    return max(0, int(mu - t)), int(mu + t) + 1
 
 
 def _poisson_weights(j: np.ndarray, mu: float, mode: int) -> np.ndarray:

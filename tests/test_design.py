@@ -1,5 +1,7 @@
 """Chart design, shift evaluation, EARL quadrature and grid sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,21 @@ class TestNewtonSolver:
         with pytest.raises(UnattainableDesignError, match=message):
             solve_design(rule(r, s, direction), ProcessModel(gamma0, n), arl0=arl0, profile=profile)
 
+    def test_limit_at_the_jump_to_zero_is_refused(self):
+        # 1-of-1 lower at n = 2, ARL0 = 1e10: the sign change the solver
+        # finds is p's jump to 1 at limit 0.  22 of these 40 designs came
+        # back with limits 2.4e-15 to 6.1e-14 of the mean and ARL 5e6 to
+        # 2.5e7; the other 18 land below 0
+        tiny = r"solved lower limit \S+ is below 2\^-32 of the in-control mean"
+        negative = r"solved lower limit -\S+ is not positive; the chart cannot signal"
+        messages = []
+        for i in range(40):
+            with pytest.raises(UnattainableDesignError) as excinfo:
+                solve_design(rule(1, 1, "lower"), ProcessModel(0.01 * (1 + i * 1e-7), 2), arl0=1e10)
+            messages.append(str(excinfo.value))
+        assert sum(bool(re.match(tiny, m)) for m in messages) == 22
+        assert sum(bool(re.match(negative, m)) for m in messages) == 18
+
     def test_golden_designs_meet_arl0(self):
         # the regula falsi stops at a logit gap or bracket of 1e-13, which
         # leaves 5.99e-13 at 3-of-4 lower, gamma0 = 0.05, n = 15
@@ -260,14 +277,14 @@ class TestPStar:
         import cvrunrules.design as design_mod
         from cvrunrules import runrules
 
-        real_metrics, real_solve = runrules.run_length_metrics, design_mod.solve_design
+        real_arls, real_solve = runrules._arls, design_mod.solve_design
         in_solver = []
         solver_calls = []
 
-        def metrics(rule_, ps):
+        def arls(rule_, ps):
             if in_solver:
                 solver_calls.append(len(ps))
-            return real_metrics(rule_, ps)
+            return real_arls(rule_, ps)
 
         def solve(*args, **kwargs):
             in_solver.append(True)
@@ -276,7 +293,7 @@ class TestPStar:
             finally:
                 in_solver.pop()
 
-        monkeypatch.setattr(runrules, "run_length_metrics", metrics)
+        monkeypatch.setattr(runrules, "_arls", arls)
         monkeypatch.setattr(design_mod, "solve_design", solve)
         design_mod._p_star.cache_clear()
         solve(rule(3, 4, "upper"), ProcessModel(0.1, 5))
@@ -349,16 +366,11 @@ class TestEarl:
     def test_constant_integrand(self, monkeypatch):
         # if ARL(tau) is constant the average must equal that constant
         import cvrunrules.design as design_mod
-        from cvrunrules.runrules import RunLengthMethod, RunLengthMetrics
+        from cvrunrules import runrules
 
         pm = ProcessModel(0.1, 5)
         d = solve_design(rule(2, 3, "upper"), pm)
-        monkeypatch.setattr(
-            design_mod,
-            "_metrics_at_levels",
-            lambda limit, rule, n, gammas, **k: [RunLengthMetrics(42.0, 40.0, RunLengthMethod.EXACT_MARKOV)]
-            * len(gammas),
-        )
+        monkeypatch.setattr(runrules, "_arls", lambda rule_, ps: [42.0] * len(ps))
         assert design_mod.earl(d, pm, None, INCREASING_SHIFTS) == pytest.approx(42.0, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -485,12 +497,15 @@ class TestEarl:
     )
     def test_batched_nodes_match_one_node(self, r, s, direction, gamma0, n, me, profile):
         # the EARL nodes' inside probabilities from one batched call against
-        # one in_control_prob call per node
+        # one in_control_prob call per node, at the exact design's limit:
+        # the cdflib design of 1-of-1 lower at n = 200 is refused, because
+        # its CDF reads 0.029 down to x = 0 and the limit solved there
+        # (9e-17) is the jump of p to 1 at limit 0
         from cvrunrules import merror, runrules
 
         pm = ProcessModel(gamma0, n)
         me = me if me is not None else MeasurementErrorModel.identity()
-        d = solve_design(rule(r, s, direction), pm, me, profile=profile)
+        d = solve_design(rule(r, s, direction), pm, me)
         shift_range = INCREASING_SHIFTS if direction == "upper" else DECREASING_SHIFTS
         x, _ = _gauss_legendre(64)
         half, mid = 0.5 * (shift_range.hi - shift_range.lo), 0.5 * (shift_range.hi + shift_range.lo)

@@ -337,6 +337,7 @@ def test_oracle_binds_no_chain_evaluator():
         "_cv2_cdf_levels": cvdist._cv2_cdf_levels,
         "rule_automaton": runrules.rule_automaton,
         "run_length_metrics": runrules.run_length_metrics,
+        "_arls": runrules._arls,
         "in_control_prob": runrules.in_control_prob,
         "arl_at_shift": design.arl_at_shift,
     }

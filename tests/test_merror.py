@@ -74,6 +74,23 @@ class TestObservedCv:
             gammas.append(observed_cv_incontrol(0.1, MeasurementErrorModel(eta=eta)))
         assert all(b >= a for a, b in zip(gammas, gammas[1:]))
 
+    @pytest.mark.parametrize("field", ["slope", "eta"])
+    def test_square_overflow_is_a_domain_error(self, field):
+        # slope**2 raised a bare OverflowError here
+        me = MeasurementErrorModel(**{field: 1e300})
+        with pytest.raises(DomainError, match=field):
+            observed_cv_incontrol(0.1, me)
+        with pytest.raises(DomainError, match=field):
+            observed_cv_shifted(0.1, ShiftSpec.from_tau(1.5, 0.1), me)
+        with pytest.raises(DomainError, match="b must be below"):
+            observed_cv_shifted(0.1, ShiftSpec.from_tau(1e300, 0.1, b=1e300), MeasurementErrorModel())
+
+    @pytest.mark.parametrize("gamma0", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_gamma0_is_a_gamma_domain_error(self, gamma0):
+        # NaN came back as nan and -1 as -1.0
+        with pytest.raises(GammaDomainError):
+            observed_cv_incontrol(gamma0, MeasurementErrorModel(theta=0.05, eta=0.28))
+
     def test_grid_stays_in_validity_window(self):
         # every published-model combination keeps the observed CV below 0.5
         for gamma0 in (0.05, 0.1, 0.2):
@@ -96,6 +113,21 @@ class TestShiftSpec:
             shift_from_ab(-11.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             shift_from_ab(0.0, -1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "a,b,gamma0",
+        [
+            (0.0, math.inf, 0.1),  # returned inf
+            (math.inf, 1.0, 0.1),  # returned 0.0
+            (math.nan, 1.0, 0.1),
+            (0.0, math.nan, 0.1),
+            (1e308, 1e-300, 1.0),  # tau underflows to 0
+            (-1.0 + 1e-10, 1e300, 1.0),  # tau overflows
+        ],
+    )
+    def test_tau_must_be_positive_and_finite(self, a, b, gamma0):
+        with pytest.raises(DomainError):
+            shift_from_ab(a, b, gamma0)
 
     def test_from_tau_roundtrip(self):
         shift = ShiftSpec.from_tau(0.8, 0.05)

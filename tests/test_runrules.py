@@ -214,8 +214,9 @@ class TestArl:
             rule = RunRule(r, r, Direction.UPPER)
             p = 1.0 - 2.0**-53
             for ps in ([p], [0.5, p]):
-                with pytest.raises(ChainSingularError):
-                    run_length_metrics(rule, ps)
+                for solve in (run_length_metrics, runrules._arls):
+                    with pytest.raises(ChainSingularError):
+                        solve(rule, ps)
             if r == 20:
                 # just below overflow the ARL is exact: (1 - q^r) / (p q^r)
                 q = 1e-15
@@ -278,6 +279,54 @@ class TestArl:
             window = np.concatenate((window[keep, 1:], out[keep, None]), axis=1)
         se = lengths.std(ddof=1) / math.sqrt(reps)
         assert abs(lengths.mean() - exact.arl) <= 3 * se
+
+
+class TestArlOnly:
+    """``_arls`` stops after the forward elimination; it must give the
+    ARLs of ``run_length_metrics`` to the bit and refuse the same inputs."""
+
+    @pytest.mark.parametrize("r,s", RULES + [(5, 8), (3, 10), (8, 10)])
+    def test_equals_run_length_metrics(self, r, s):
+        rule = RunRule(r, s, Direction.UPPER)
+        ps = [0.0, 0.37, 0.9, 0.9973, 1.0 - 2.0**-40]
+        assert [runrules._arls(rule, [p])[0] for p in ps] == [run_length_metrics(rule, [p])[0].arl for p in ps]
+        stack = np.linspace(0.05, 0.999, 64).tolist()
+        assert runrules._arls(rule, stack) == [m.arl for m in run_length_metrics(rule, stack)]
+        assert runrules._arls(rule, []) == []
+
+    def test_refuses_as_run_length_metrics(self):
+        rule = RunRule(2, 3, Direction.UPPER)
+        for ps in ([1.0], [0.5, 1.0]):
+            with pytest.raises(ChainSingularError):
+                runrules._arls(rule, ps)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                runrules._arls(rule, [0.5, p])
+
+
+class TestArrayAutomaton:
+    """``rule_automaton`` builds its tables and partition from arrays; the
+    state-by-state construction in ``automaton_reference`` is the
+    reference, field by field, and so is the GTH plan built on each."""
+
+    @pytest.mark.parametrize("r,s", [(r, s) for s in range(1, 13) for r in range(1, s + 1)])
+    def test_equals_reference(self, r, s, monkeypatch):
+        from automaton_reference import reference_automaton
+
+        got, want = rule_automaton(r, s), reference_automaton(r, s)
+        assert got.states == want.states
+        assert got.initial_index == want.initial_index
+        for field in ("t_in", "t_out", "block", "representatives"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+            assert not a.flags.writeable
+        plan = runrules._gth_plan(r, s)
+        monkeypatch.setattr(runrules, "rule_automaton", lambda r_, s_: reference_automaton(r_, s_))
+        runrules._gth_plan.cache_clear()
+        try:
+            assert runrules._gth_plan(r, s) == plan
+        finally:
+            runrules._gth_plan.cache_clear()
 
 
 class TestHistoryPath:

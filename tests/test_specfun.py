@@ -414,6 +414,18 @@ class TestNoncentralFCdf:
         with pytest.raises(EvaluationError, match="Poisson window"):
             noncentral_f_cdf(9e16, NoncentralParams(1.0, 1.0, 1e11))
 
+    def test_window_cap_where_mu_plus_t_rounds_to_mu(self):
+        # past mu = lambda/2 ~ 1e32 both window ends mu +- t round to mu; the
+        # cap counts the ~2t terms the tail bound asks for, not the two left
+        # (cv2_cdf returned 0.594 here from a two-term window)
+        from cvrunrules.cvdist import cv2_cdf
+
+        with pytest.raises(EvaluationError, match="Poisson window"):
+            cv2_cdf(1e-36, 5, 1e-18)
+        for lam in (1e40, 1e70, 1e300):
+            with pytest.raises(EvaluationError, match="Poisson window"):
+                noncentral_f_cdf(1.0, NoncentralParams(1.0, 4.0, lam))
+
     def test_no_nan_near_zero(self):
         # x -> 0 makes the mode's beta decrement underflow while the ratios
         # toward j = 0 are huge; the log-space sums must not form 0 * inf
