@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,15 @@ def simulate_subgroups(
 def simulate_subgroup(
     n: int, gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel, rng: np.random.Generator
 ) -> float:
-    """Single observed squared sample CV."""
+    """Single observed squared sample CV.
+
+    Deprecated: it is one row of ``simulate_subgroups``.
+    """
+    warnings.warn(
+        "cvrunrules.mcsim.simulate_subgroup is deprecated; use simulate_subgroups(1, ...)[0]",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return float(simulate_subgroups(1, n, gamma0, shift, me, rng)[0])
 
 

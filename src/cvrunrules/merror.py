@@ -16,7 +16,10 @@ tau = b / (1 + a gamma0).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cvdist import _check_gamma, cv2_cdf
 from .errors import DomainError, as_integer
@@ -107,6 +110,8 @@ class ShiftSpec:
     def from_tau(cls, tau: float, gamma0: float, b: float = 1.0) -> "ShiftSpec":
         """Shift of size tau realized with std multiplier b (default 1,
         i.e. the CV change comes from a mean shift)."""
+        # numpy scalars would overflow b/tau or a with a RuntimeWarning
+        tau, gamma0, b = float(tau), float(gamma0), float(b)
         if not tau > 0:
             raise DomainError(f"tau must be positive, got {tau}")
         ratio = b / tau
@@ -171,16 +176,54 @@ def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
 
 def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel) -> float:
     """Out-of-control CV of the observed measurements under the shift."""
-    _check_squares(slope=me.slope, eta=me.eta, b=shift.b)
-    denom = me.theta + me.slope * shift.b / shift.tau
-    if not denom > 0:
-        raise DomainError(f"theta + B*b/tau must be positive, got {denom}")
-    return gamma0 * math.sqrt(me.slope**2 * shift.b**2 + me.eta**2 / me.reps) / denom
+    return _observed_cv(gamma0, shift.tau, shift.b, me)
+
+
+def _observed_cv(gamma0: float, tau: float | np.ndarray, b: float, me: MeasurementErrorModel) -> float | np.ndarray:
+    """The observed CV at shift tau with std multiplier b, at one float tau
+    or elementwise over an array, with the same float operations at each."""
+    _check_squares(slope=me.slope, eta=me.eta, b=b)
+    denom = me.theta + me.slope * b / tau
+    if not np.all(denom > 0):
+        raise DomainError(f"theta + B*b/tau must be positive, got {np.min(denom)}")
+    return gamma0 * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / denom
+
+
+def _observed_cvs_from_tau(gamma0: float, taus: np.ndarray, b: float, me: MeasurementErrorModel) -> np.ndarray:
+    """``observed_cv_shifted(gamma0, ShiftSpec.from_tau(tau, gamma0, b), me)``
+    at each tau of an array, bit for bit, with no ShiftSpec per tau.
+
+    The checks of that path that depend on tau run on the whole array
+    first, with numpy's warnings off.  The first tau, and each one that
+    fails a check, then goes through the scalar path in order, so the first
+    refusal raised is the scalar loop's, message and all.  The first tau
+    also raises what fails every tau alike: gamma0, b or the model.
+    """
+    b = float(b)
+    with np.errstate(all="ignore"):
+        # from_tau's a, then the ShiftSpec's checks on it, then the CV's
+        a = (b / taus - 1.0) / gamma0
+        denom = 1.0 + a * gamma0
+        valid = (taus > 0) & (taus < math.inf) & np.isfinite(a) & (denom > 0)
+        valid &= np.abs(taus - b / denom) <= _AB_CONSISTENCY_TOL * np.maximum(1.0, taus)
+        valid &= me.theta + me.slope * b / taus > 0
+        valid[0] = False
+        for tau in taus[~valid]:
+            observed_cv_shifted(gamma0, ShiftSpec.from_tau(float(tau), gamma0, b), me)
+        return _observed_cv(gamma0, taus, b, me)
 
 
 def observed_cv2_cdf(
     x: float, n: int, gamma_star: float, *, force: bool = False, profile: str = "exact"
 ) -> float:
     """CDF of the squared observed sample CV: the error-free law with the
-    observed CV in place of the true one."""
+    observed CV in place of the true one.
+
+    Deprecated: it is ``cv2_cdf`` with the same arguments.
+    """
+    warnings.warn(
+        "cvrunrules.merror.observed_cv2_cdf is deprecated; use cvrunrules.cv2_cdf",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return cv2_cdf(x, n, gamma_star, force=force, profile=profile)

@@ -1,10 +1,20 @@
 """Chart design, shift evaluation, EARL quadrature and grid sweeps."""
 
+import functools
+import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+import cvrunrules
+from cvrunrules import merror
 from cvrunrules.cvdist import ProcessModel
 from cvrunrules.design import (
     DEFAULT_ARL0,
@@ -17,7 +27,7 @@ from cvrunrules.design import (
     solve_design,
     sweep,
 )
-from cvrunrules.errors import DomainError, UnattainableDesignError
+from cvrunrules.errors import CvRunRulesError, DomainError, UnattainableDesignError
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunRule
 
@@ -29,6 +39,30 @@ ROUND_TRIP_RTOL = 1e-4
 
 def rule(r, s, direction):
     return RunRule(r, s, Direction(direction))
+
+
+def _mp_gauss_legendre(nodes, start):
+    """Nodes and weights of the nodes-point Gauss-Legendre rule in 40
+    digits: Newton on Bonnet's recurrence from each of the doubles in
+    ``start``, weight 2 (1 - x^2) / (n P_{n-1}(x))^2."""
+    import mpmath
+
+    def pair(x):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(1, nodes):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, p_prev
+
+    xs, ws = [], []
+    with mpmath.workdps(40):
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            for _ in range(3):
+                p, p_prev = pair(x)
+                x -= p * (x * x - 1) / (nodes * (x * p - p_prev))
+            xs.append(x)
+            ws.append(2 * (1 - x * x) / (nodes * pair(x)[1]) ** 2)
+    return xs, ws
 
 
 class TestSolveDesign:
@@ -468,12 +502,103 @@ class TestEarl:
             earl(d, pm, None, INCREASING_SHIFTS, nodes=nodes)
 
     def test_cached_nodes_are_leggauss_read_only(self):
-        x, w = _gauss_legendre(64)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(64)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        # Within 2.3e-16 (nodes) and 4e-15 (weights) of a 40-digit rule;
+        # leggauss's own weights are 2.3e-15 from one at 64 nodes.
+        for nodes in (8, 9, 64, 65):
+            x, w = _gauss_legendre(nodes)
+            assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            half = slice(nodes // 2, None)  # the rule is symmetric
+            ref_x, ref_w = _mp_gauss_legendre(nodes, x[half])
+            assert max(abs(float(xi - ri)) for xi, ri in zip(x[half], ref_x)) <= 2.3e-16
+            assert max(abs(float(wi - ri)) for wi, ri in zip(w[half], ref_w)) <= 4e-15
+            if nodes % 2:
+                assert x[nodes // 2] == 0.0 and not np.signbit(x[nodes // 2])
+        # At 1024 nodes leggauss's weights next to +-1 are 1.5e-14 from a
+        # 40-digit rule, which these meet to 4e-15.
+        x, w = _gauss_legendre(1024)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(1024)
+        assert np.max(np.abs(x - ref_x)) <= 2.3e-16 and np.max(np.abs(w - ref_w)) <= 2e-14
+        ends = [0, 1, 1023]
+        ref_x, ref_w = _mp_gauss_legendre(1024, x[ends])
+        assert max(abs(float(x[i] - ri)) for i, ri in zip(ends, ref_x)) <= 2.3e-16
+        assert max(abs(float(w[i] - ri)) for i, ri in zip(ends, ref_w)) <= 4e-15
         assert _gauss_legendre(64) is _gauss_legendre(64)
+        x, w = _gauss_legendre(64)
         with pytest.raises(ValueError):
             x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_rule_needs_no_eigenvalue_solve(self, monkeypatch):
+        import cvrunrules.design as design_mod
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("an eigenvalue solve was reached")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        design_mod._gauss_legendre.cache_clear()
+        try:
+            for nodes in (8, 9, 64, 1024):
+                x, w = design_mod._gauss_legendre(nodes)
+                assert x.shape == w.shape == (nodes,) and abs(w.sum() - 2.0) <= 1e-14
+        finally:
+            design_mod._gauss_legendre.cache_clear()
+
+    def test_earl_loads_no_numpy_polynomial(self):
+        # numpy 2 imports numpy.polynomial lazily: the EARL path must not
+        if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+            pytest.skip("numpy 1.x imports numpy.polynomial with numpy itself")
+        code = (
+            "import sys\n"
+            "import cvrunrules, cvrunrules.cli\n"
+            "from cvrunrules import Direction, INCREASING_SHIFTS, ProcessModel, RunRule, earl, solve_design\n"
+            "pm = ProcessModel(0.1, 5)\n"
+            "assert earl(solve_design(RunRule(2, 3, Direction.UPPER), pm), pm, None, INCREASING_SHIFTS) > 1\n"
+            "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvrunrules.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "me,b",
+        [
+            (None, 1.0),
+            (None, 1.7),
+            (MeasurementErrorModel(theta=0.05, eta=0.28, slope=0.9, reps=3), 1.0),
+            (MeasurementErrorModel(theta=0.05, eta=0.28, slope=1.1, reps=2), 0.6),
+        ],
+    )
+    def test_node_cvs_equal_one_shift_per_node(self, me, b):
+        # the nodes' observed CVs from one array expression, bit for bit
+        # the former per-node ShiftSpec and observed_cv_shifted
+        me = me if me is not None else MeasurementErrorModel.identity()
+        x, _ = _gauss_legendre(64)
+        for shift_range, gamma0 in ((INCREASING_SHIFTS, 0.1), (DECREASING_SHIFTS, 0.05), (ShiftRange(0.3, 7.0), 0.2)):
+            half, mid = 0.5 * (shift_range.hi - shift_range.lo), 0.5 * (shift_range.hi + shift_range.lo)
+            taus = half * x + mid
+            got = merror._observed_cvs_from_tau(gamma0, taus, b, me)
+            for tau, cv in zip(taus, got):
+                shift = ShiftSpec.from_tau(float(tau), gamma0, b=b)
+                formula = gamma0 * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (
+                    me.theta + me.slope * shift.b / shift.tau
+                )
+                assert cv == merror.observed_cv_shifted(gamma0, shift, me) == formula
+
+    def test_tiny_shift_range_refused_without_warning(self):
+        # earl used to hand numpy scalars to ShiftSpec.from_tau, whose b/tau
+        # overflowed with a RuntimeWarning before the DomainError
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(rule(2, 3, "upper"), pm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="b/tau overflows"):
+                earl(d, pm, None, ShiftRange(1e-320, 2e-320))
+            with pytest.raises(DomainError, match="b/tau overflows"):
+                ShiftSpec.from_tau(np.float64(1e-320), 0.1)
 
     def test_invalid_range(self):
         with pytest.raises(DomainError):
@@ -513,6 +638,79 @@ class TestEarl:
         batch = runrules._in_control_probs(d.rule.direction, d.limit, n, gammas, force=True, profile=profile)
         one = [runrules.in_control_prob(d.rule.direction, d.limit, n, g, force=True, profile=profile) for g in gammas]
         assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
+
+
+# Each float input of EARL and of ShiftSpec.from_tau takes these values,
+# as a float or as a numpy scalar.
+EDGE_FLOATS = [0.0, -0.0, -1.0, -1e-300, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan, 0.5, 1.0, 1.5, 2.0]
+
+
+@functools.lru_cache
+def _property_chart(direction, with_me):
+    pm = ProcessModel(0.1, 5)
+    me = MeasurementErrorModel(theta=0.05, eta=0.28) if with_me else None
+    return pm, me, solve_design(rule(2, 3, direction), pm, me)
+
+
+class TestTypedFailures:
+    """Every float input either gives a finite answer or a CvRunRulesError:
+    never a bare ValueError, ZeroDivisionError or OverflowError, and never
+    a RuntimeWarning."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        lo=hs.one_of(hs.sampled_from(EDGE_FLOATS), hs.floats(0.3, 1.2)),
+        hi=hs.one_of(hs.sampled_from(EDGE_FLOATS), hs.floats(1.0, 3.0)),
+        b=hs.one_of(hs.sampled_from(EDGE_FLOATS), hs.floats(0.5, 2.0)),
+        as_numpy=hs.booleans(),
+        direction=hs.sampled_from(["upper", "lower"]),
+        with_me=hs.booleans(),
+    )
+    @example(lo=1e-320, hi=2e-320, b=1.0, as_numpy=False, direction="upper", with_me=False)
+    @example(lo=1e-300, hi=1e300, b=1e-300, as_numpy=True, direction="lower", with_me=True)
+    def test_earl(self, lo, hi, b, as_numpy, direction, with_me):
+        pm, me, d = _property_chart(direction, with_me)
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                shift_range = ShiftRange(wrap(lo), wrap(hi))
+                value = earl(d, pm, me, shift_range, b=wrap(b))
+            except CvRunRulesError:
+                return
+            # the ARL is monotone in tau, so EARL lies between the end ARLs;
+            # where an end is refused, between the outermost nodes' ARLs
+            x, _ = _gauss_legendre(64)
+            half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+            ends = []
+            for tau, node in ((lo, half * x[0] + mid), (hi, half * x[-1] + mid)):
+                try:
+                    ends.append(arl_at_shift(d, pm, me, ShiftSpec.from_tau(tau, pm.gamma0, b=b)).arl)
+                except CvRunRulesError:
+                    ends.append(arl_at_shift(d, pm, me, ShiftSpec.from_tau(node, pm.gamma0, b=b)).arl)
+        assert math.isfinite(value)
+        assert min(ends) * (1 - 1e-12) <= value <= max(ends) * (1 + 1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        tau=hs.sampled_from(EDGE_FLOATS),
+        gamma0=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        b=hs.sampled_from(EDGE_FLOATS),
+        as_numpy=hs.booleans(),
+    )
+    @example(tau=1e-320, gamma0=0.1, b=1.0, as_numpy=True)
+    def test_shift_from_tau(self, tau, gamma0, b, as_numpy):
+        wrap = np.float64 if as_numpy else float
+        me = MeasurementErrorModel(theta=0.05, eta=0.28)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                shift = ShiftSpec.from_tau(wrap(tau), wrap(gamma0), b=wrap(b))
+                cv = merror.observed_cv_shifted(gamma0, shift, me)
+            except CvRunRulesError:
+                return
+        assert 0.0 < shift.tau < math.inf and 0.0 < shift.b < math.inf and math.isfinite(shift.a)
+        assert 0.0 <= cv < math.inf
 
 
 class TestSweep:

@@ -51,7 +51,8 @@ class TestSimConfig:
 
 class TestSimulateSubgroup:
     def test_scalar_wrapper(self):
-        v = simulate_subgroup(5, 0.1, ShiftSpec.in_control(0.1), MeasurementErrorModel.identity(), philox(3))
+        with pytest.deprecated_call():
+            v = simulate_subgroup(5, 0.1, ShiftSpec.in_control(0.1), MeasurementErrorModel.identity(), philox(3))
         assert v >= 0.0
 
     @pytest.mark.slow
@@ -114,7 +115,7 @@ class TestSimulateSubgroup:
         with pytest.raises(DomainError):
             simulate_subgroups(size, n, gamma0, shift, me, philox(1))
         if size == 10:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError), pytest.deprecated_call():
                 simulate_subgroup(n, gamma0, shift, me, philox(1))
 
     def test_two_draws_from_the_model(self):
