@@ -144,11 +144,11 @@ def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     return specfun._f_pdf_over(n / x, _f_params(n, gamma), x)
 
 
-def moments_for_gamma(gamma: float, n: int, *, force: bool = False) -> Cv2Moments:
-    """Second-moment approximation of the squared sample CV at an
-    arbitrary CV level (bias-corrected mean, matched variance)."""
+def moments_for_gamma(gamma: float, n: int) -> Cv2Moments:
+    """Second-moment approximation of the squared sample CV at a CV level
+    in the validity window (bias-corrected mean, matched variance)."""
     as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma, force)
+    _check_gamma(gamma, force=False)
     g2 = gamma * gamma
     mean = g2 * (1.0 - 3.0 * g2 / n)
     mse = g2 * g2 * (2.0 / (n - 1) + g2 * (4.0 / n + 20.0 / (n * (n - 1)) + 75.0 * g2 / (n * n)))

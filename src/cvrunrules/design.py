@@ -26,7 +26,8 @@ p, so the full history chain is never built: ``arl_at_shift`` through
 read no SDRL, through its forward elimination alone (``runrules._arls``).
 The 64 EARL nodes share one limit, so they share the kernel's beta
 column, and go to the chain as one stack.  Their observed CVs come from
-one array expression (``merror._observed_cvs_from_tau``), and their
+one array expression (``merror._observed_cv``) once the end nodes pass
+the scalar shift checks, which are all monotone in tau, and their
 Gauss-Legendre rule from Newton's method on the three-term recurrence
 (``_gauss_legendre``): nodes within half an ulp and weights within 2.5e-17
 of a 40-digit rule at 64 nodes, about 1 ms at 64 nodes and 20 ms at 1024,
@@ -121,12 +122,6 @@ def _limit_for(k: float, direction: Direction, moments: Cv2Moments) -> float:
     if direction is Direction.LOWER:
         return moments.mean - k * moments.std
     return moments.mean + k * moments.std
-
-
-def _inside_probs(design: ChartDesign, n: int, gammas: Sequence[float], profile: str) -> list[float]:
-    """The chart's inside probability at each observed CV level, which may
-    lie past the gamma validity window, from one batched CDF call."""
-    return runrules._in_control_probs(design.rule.direction, design.limit, n, gammas, force=True, profile=profile)
 
 
 def _root(
@@ -317,8 +312,10 @@ def arl_at_shift(
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
     shift.check_gamma0(pm.gamma0)
-    gamma_eval = merror.observed_cv_shifted(pm.gamma0, shift, me)
-    (metrics,) = runrules.run_length_metrics(design.rule, _inside_probs(design, pm.n, [gamma_eval], profile))
+    gammas = [merror.observed_cv_shifted(pm.gamma0, shift, me)]
+    # a shifted CV may lie past the validity window
+    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, force=True, profile=profile)
+    (metrics,) = runrules.run_length_metrics(design.rule, probs)
     return metrics
 
 
@@ -405,16 +402,22 @@ def earl(
     Gauss-Legendre quadrature.
 
     Shifts are realized with the standard-deviation multiplier b held
-    fixed (default 1) and the mean-shift component following tau.  The
-    node count runs from 8 to ``_MAX_NODES``.
+    fixed (default 1) and the mean-shift component following tau, up to
+    tau = 2^21 b (``ShiftSpec.from_tau``).  The node count runs from 8 to
+    ``_MAX_NODES``.
     """
     x, w = _gauss_legendre(_check_nodes(nodes))
     me = me if me is not None else MeasurementErrorModel.identity()
-    lo, hi = float(shift_range.lo), float(shift_range.hi)
+    lo, hi, b = float(shift_range.lo), float(shift_range.hi), float(b)
     half_width = 0.5 * (hi - lo)
     taus = half_width * x + 0.5 * (hi + lo)
-    gammas = merror._observed_cvs_from_tau(pm.gamma0, taus, b, me)
-    arls = runrules._arls(design.rule, _inside_probs(design, pm.n, gammas.tolist(), profile))
+    # Every refusal of a node's shift and observed CV is monotone in tau, so
+    # the range is refused exactly when an end node is, the lower one first.
+    for tau in (taus[0], taus[-1]):
+        merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(tau, pm.gamma0, b), me)
+    gammas = merror._observed_cv(pm.gamma0, taus, b, me).tolist()
+    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, force=True, profile=profile)
+    arls = runrules._arls(design.rule, probs)
     total = 0.0
     for wi, mean_rl in zip(w, arls):
         total += wi * mean_rl

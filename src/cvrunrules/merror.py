@@ -36,6 +36,11 @@ __all__ = [
 _AB_CONSISTENCY_TOL = 1e-9
 _GAMMA0_MATCH_RTOL = 1e-12
 _SQUARE_MAX = 2.0**511
+# from_tau's smallest b/tau.  From 2^-21 up, 1 + a*gamma0 keeps b/tau to
+# 3.3e-16 (b/tau - 1 is exact by Sterbenz from 1/2 up), so tau comes back
+# within 3.3e-16 * 2^21 + 2.2e-16 ~ 7e-10, inside _AB_CONSISTENCY_TOL, for
+# gamma0 below about 1e300; below 2^-21 the round trip fails at scattered tau.
+_RATIO_FLOOR = 2.0**-21
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,11 @@ class MeasurementErrorModel:
 
     def __post_init__(self) -> None:
         for name in ("theta", "eta", "slope"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            # numpy scalars would overflow the observed CV with a RuntimeWarning
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.theta < 0:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.eta < 0:
@@ -108,8 +116,9 @@ class ShiftSpec:
 
     @classmethod
     def from_tau(cls, tau: float, gamma0: float, b: float = 1.0) -> "ShiftSpec":
-        """Shift of size tau realized with std multiplier b (default 1,
-        i.e. the CV change comes from a mean shift)."""
+        """Shift of size tau realized with std multiplier b (default 1, i.e.
+        the CV change comes from a mean shift), for a finite b/tau and tau <=
+        2^21 b.  Its refusals and the observed CV's are all monotone in tau."""
         # numpy scalars would overflow b/tau or a with a RuntimeWarning
         tau, gamma0, b = float(tau), float(gamma0), float(b)
         if not tau > 0:
@@ -118,11 +127,15 @@ class ShiftSpec:
         if math.isfinite(b) and not math.isfinite(ratio):
             raise DomainError(f"tau={tau} is too small: b/tau overflows for b={b}")
         _check_gamma(gamma0, force=True)
+        # an infinite tau and a b that is not positive and finite keep the field checks' messages
+        if tau < math.inf and 0 < b < math.inf and not ratio >= _RATIO_FLOOR:
+            raise DomainError(f"tau={tau} is too large: b/tau is below 2**-21 for b={b}")
         a = (ratio - 1.0) / gamma0
         return cls(tau=tau, a=a, b=b, gamma0=gamma0)
 
     @classmethod
     def from_ab(cls, a: float, b: float, gamma0: float) -> "ShiftSpec":
+        a, b, gamma0 = float(a), float(b), float(gamma0)
         return cls(tau=shift_from_ab(a, b, gamma0), a=a, b=b, gamma0=gamma0)
 
     @classmethod
@@ -144,10 +157,13 @@ class ShiftSpec:
 
 def shift_from_ab(a: float, b: float, gamma0: float) -> float:
     """tau = b / (1 + a * gamma0), which must be positive and finite."""
+    # numpy scalars would make a*gamma0 NaN or inf with a RuntimeWarning
+    a, b, gamma0 = float(a), float(b), float(gamma0)
     if not 0 < b < math.inf:
         raise DomainError(f"b must be positive and finite, got {b}")
     if not math.isfinite(a):
         raise DomainError(f"a must be finite, got {a}")
+    _check_gamma(gamma0, force=True)
     denom = 1.0 + a * gamma0
     if not denom > 0:
         raise DomainError(f"1 + a*gamma0 must be positive, got {denom}")
@@ -167,11 +183,7 @@ def _check_squares(**values: float) -> None:
 def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
     """In-control CV of the observed (averaged) measurements."""
     _check_gamma(gamma0, force=True)
-    _check_squares(slope=me.slope, eta=me.eta)
-    denom = me.theta + me.slope
-    if not denom > 0:
-        raise DomainError(f"theta + B must be positive, got {denom}")
-    return gamma0 * math.sqrt(me.slope**2 + me.eta**2 / me.reps) / denom
+    return _observed_cv(gamma0, 1.0, 1.0, me)
 
 
 def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel) -> float:
@@ -181,36 +193,18 @@ def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorMod
 
 def _observed_cv(gamma0: float, tau: float | np.ndarray, b: float, me: MeasurementErrorModel) -> float | np.ndarray:
     """The observed CV at shift tau with std multiplier b, at one float tau
-    or elementwise over an array, with the same float operations at each."""
+    or elementwise over an array, with the same float operations at each.
+
+    Both checks are monotone in tau, so an ascending array whose ends pass
+    them passes at every tau, with no overflow or division by zero."""
     _check_squares(slope=me.slope, eta=me.eta, b=b)
     denom = me.theta + me.slope * b / tau
-    if not np.all(denom > 0):
-        raise DomainError(f"theta + B*b/tau must be positive, got {np.min(denom)}")
-    return gamma0 * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / denom
-
-
-def _observed_cvs_from_tau(gamma0: float, taus: np.ndarray, b: float, me: MeasurementErrorModel) -> np.ndarray:
-    """``observed_cv_shifted(gamma0, ShiftSpec.from_tau(tau, gamma0, b), me)``
-    at each tau of an array, bit for bit, with no ShiftSpec per tau.
-
-    The checks of that path that depend on tau run on the whole array
-    first, with numpy's warnings off.  The first tau, and each one that
-    fails a check, then goes through the scalar path in order, so the first
-    refusal raised is the scalar loop's, message and all.  The first tau
-    also raises what fails every tau alike: gamma0, b or the model.
-    """
-    b = float(b)
-    with np.errstate(all="ignore"):
-        # from_tau's a, then the ShiftSpec's checks on it, then the CV's
-        a = (b / taus - 1.0) / gamma0
-        denom = 1.0 + a * gamma0
-        valid = (taus > 0) & (taus < math.inf) & np.isfinite(a) & (denom > 0)
-        valid &= np.abs(taus - b / denom) <= _AB_CONSISTENCY_TOL * np.maximum(1.0, taus)
-        valid &= me.theta + me.slope * b / taus > 0
-        valid[0] = False
-        for tau in taus[~valid]:
-            observed_cv_shifted(gamma0, ShiftSpec.from_tau(float(tau), gamma0, b), me)
-        return _observed_cv(gamma0, taus, b, me)
+    if not np.all((denom > 0) & (denom < math.inf)):
+        raise DomainError(f"theta + B*b/tau must be positive and finite, got {denom}")
+    cv = float(gamma0) * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / denom
+    if not np.all(cv < math.inf):
+        raise DomainError(f"the observed CV must be finite, got {cv}")
+    return cv
 
 
 def observed_cv2_cdf(

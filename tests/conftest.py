@@ -12,8 +12,15 @@ import sys
 import os
 
 import numpy as np
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Every property test draws the same examples on every run (the seed comes
+# from the test's own source), takes as long as it needs, and writes no
+# example database into the checkout; a test sets only max_examples.
+settings.register_profile("cvrunrules", deadline=None, derandomize=True, database=None)
+settings.load_profile("cvrunrules")
 
 _C7_RULES = [(2, 3), (3, 4), (4, 5)]
 

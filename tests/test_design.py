@@ -1,6 +1,7 @@
 """Chart design, shift evaluation, EARL quadrature and grid sweeps."""
 
 import functools
+import itertools
 import math
 import os
 import re
@@ -580,7 +581,7 @@ class TestEarl:
         for shift_range, gamma0 in ((INCREASING_SHIFTS, 0.1), (DECREASING_SHIFTS, 0.05), (ShiftRange(0.3, 7.0), 0.2)):
             half, mid = 0.5 * (shift_range.hi - shift_range.lo), 0.5 * (shift_range.hi + shift_range.lo)
             taus = half * x + mid
-            got = merror._observed_cvs_from_tau(gamma0, taus, b, me)
+            got = merror._observed_cv(gamma0, taus, b, me)
             for tau, cv in zip(taus, got):
                 shift = ShiftSpec.from_tau(float(tau), gamma0, b=b)
                 formula = gamma0 * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (
@@ -599,6 +600,77 @@ class TestEarl:
                 earl(d, pm, None, ShiftRange(1e-320, 2e-320))
             with pytest.raises(DomainError, match="b/tau overflows"):
                 ShiftSpec.from_tau(np.float64(1e-320), 0.1)
+
+    def test_refusals_match_the_node_loop(self, monkeypatch):
+        # earl sends its end nodes alone through ShiftSpec.from_tau and
+        # observed_cv_shifted: it refuses a range exactly when the loop over
+        # every node in ascending tau does, with the same error type and
+        # check (the tau named may be an end node's), and otherwise takes
+        # the loop's CVs bit for bit
+        from cvrunrules import runrules
+
+        class Reached(Exception):
+            pass
+
+        seen = []
+
+        def capture(direction, limit, n, gammas, **kwargs):
+            seen.append(gammas)
+            raise Reached
+
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(rule(2, 3, "upper"), pm)
+        monkeypatch.setattr(runrules, "_in_control_probs", capture)
+        x, _ = _gauss_legendre(64)
+        ranges = [(10.0**e, 2 * 10.0**e) for e in range(-320, 20, 2)]
+        ranges += [(10.0**e, 10.0 ** (e + 6)) for e in range(-320, 15, 5)]
+        ranges += [(1e-320, 2e-320), (1.0, 2e6), (1.0, 3e6), (1.0, 1e15), (1.0, 1e20)]
+        models = [None, MeasurementErrorModel(theta=0.05, eta=0.28), MeasurementErrorModel(slope=1e-300)]
+        outcomes = {"accepted": 0, "refused": 0}
+        for (lo, hi), b, me in itertools.product(ranges, (1e-300, 0.5, 1.0, 1e10, 1e300), models):
+            taus = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+            node_me = me if me is not None else MeasurementErrorModel.identity()
+            try:
+                want = [
+                    merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(tau, pm.gamma0, b), node_me)
+                    for tau in taus
+                ]
+            except CvRunRulesError as exc:
+                want = _check_of(exc)
+            try:
+                earl(d, pm, me, ShiftRange(lo, hi), b=b)
+            except Reached:
+                got = seen.pop()
+            except CvRunRulesError as exc:
+                got = _check_of(exc)
+            assert got == want, (lo, hi, b, me)
+            outcomes["refused" if isinstance(want, tuple) else "accepted"] += 1
+        assert min(outcomes.values()) > 1000, outcomes
+
+    @pytest.mark.parametrize("hi", [3e6, 1e15, 1e20])
+    def test_range_past_two_pow_21_b_refused(self, hi):
+        # below b/tau = 2^-21 the (a, b) round trip failed at scattered tau:
+        # (1, 3e6) gave 2.0003, (1, 1e15) was an "inconsistent shift", and
+        # (1, 1e20) had "1 + a*gamma0 must be positive"
+        pm = ProcessModel(0.1, 5)
+        d = solve_design(rule(2, 3, "upper"), pm)
+        assert math.isfinite(earl(d, pm, None, ShiftRange(1.0, 2e6)))
+        with pytest.raises(DomainError, match=r"tau=\S+ is too large: b/tau is below 2\*\*-21 for b=1.0"):
+            earl(d, pm, None, ShiftRange(1.0, hi))
+
+    def test_overflowing_cv_denominator_refused_without_warning(self):
+        # B*b/tau can overflow where b/tau does not, and the observed CV read
+        # 0.0 there; refused at an end node, it never reaches the nodes'
+        # array expression, which would overflow with a warning
+        pm, me = ProcessModel(0.49, 5), MeasurementErrorModel(slope=4.0)
+        d = solve_design(rule(2, 3, "lower"), pm, me)
+        message = r"theta \+ B\*b/tau must be positive and finite, got inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=message):
+                merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(1.5e-308, pm.gamma0), me)
+            with pytest.raises(DomainError, match=message):
+                earl(d, pm, me, ShiftRange(1.5e-308, 3e-308))
 
     def test_invalid_range(self):
         with pytest.raises(DomainError):
@@ -638,6 +710,12 @@ class TestEarl:
         batch = runrules._in_control_probs(d.rule.direction, d.limit, n, gammas, force=True, profile=profile)
         one = [runrules.in_control_prob(d.rule.direction, d.limit, n, g, force=True, profile=profile) for g in gammas]
         assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
+
+
+def _check_of(exc):
+    """An error's type and message with every number masked: the check
+    that refused, whatever value it names."""
+    return type(exc), re.sub(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|\binf\b|\bnan\b)", "#", str(exc))
 
 
 # Each float input of EARL and of ShiftSpec.from_tau takes these values,
@@ -711,6 +789,84 @@ class TestTypedFailures:
                 return
         assert 0.0 < shift.tau < math.inf and 0.0 < shift.b < math.inf and math.isfinite(shift.a)
         assert 0.0 <= cv < math.inf
+
+    # merror's public surface: the error model, both observed CVs and the
+    # (a, b) shift, with every float from EDGE_FLOATS or a plausible value
+    @staticmethod
+    def _model(theta, eta, slope, reps, wrap):
+        me = MeasurementErrorModel(theta=wrap(theta), eta=wrap(eta), slope=wrap(slope), reps=reps)
+        assert all(type(value) is float for value in (me.theta, me.eta, me.slope))
+        assert 0.0 <= me.theta < math.inf and 0.0 <= me.eta < math.inf and 0.0 < me.slope < math.inf
+        return me
+
+    @settings(max_examples=300)
+    @given(
+        gamma0=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        theta=hs.sampled_from(EDGE_FLOATS + [0.05]),
+        eta=hs.sampled_from(EDGE_FLOATS + [0.28]),
+        slope=hs.sampled_from(EDGE_FLOATS + [0.9]),
+        reps=hs.sampled_from([1, 3]),
+        as_numpy=hs.booleans(),
+    )
+    @example(gamma0=1e300, theta=0.0, eta=0.5, slope=1e-320, reps=1, as_numpy=False)
+    @example(gamma0=0.5, theta=0.0, eta=0.28, slope=1e-320, reps=1, as_numpy=True)
+    def test_observed_cv_incontrol(self, gamma0, theta, eta, slope, reps, as_numpy):
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                cv = merror.observed_cv_incontrol(wrap(gamma0), self._model(theta, eta, slope, reps, wrap))
+            except CvRunRulesError:
+                return
+        assert 0.0 <= cv < math.inf
+
+    @settings(max_examples=300)
+    @given(
+        tau_or_a=hs.sampled_from(EDGE_FLOATS + [0.8, 3.0]),
+        b=hs.sampled_from(EDGE_FLOATS),
+        gamma0=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        theta=hs.sampled_from(EDGE_FLOATS + [0.05]),
+        eta=hs.sampled_from(EDGE_FLOATS + [0.28]),
+        slope=hs.sampled_from(EDGE_FLOATS + [0.9]),
+        from_ab=hs.booleans(),
+        as_numpy=hs.booleans(),
+    )
+    @example(tau_or_a=0.0, b=1.0, gamma0=math.inf, theta=0.0, eta=0.0, slope=1.0, from_ab=True, as_numpy=True)
+    @example(tau_or_a=1.5, b=1.0, gamma0=0.5, theta=0.0, eta=0.28, slope=1e-320, from_ab=False, as_numpy=True)
+    def test_observed_cv_shifted(self, tau_or_a, b, gamma0, theta, eta, slope, from_ab, as_numpy):
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                me = self._model(theta, eta, slope, 2, wrap)
+                if from_ab:
+                    shift = ShiftSpec.from_ab(wrap(tau_or_a), wrap(b), wrap(gamma0))
+                else:
+                    shift = ShiftSpec.from_tau(wrap(tau_or_a), wrap(gamma0), b=wrap(b))
+                cv = merror.observed_cv_shifted(wrap(gamma0), shift, me)
+            except CvRunRulesError:
+                return
+        assert 0.0 < shift.tau < math.inf and 0.0 < shift.b < math.inf and math.isfinite(shift.a)
+        assert 0.0 <= cv < math.inf
+
+    @settings(max_examples=200)
+    @given(
+        a=hs.sampled_from(EDGE_FLOATS + [-5.0, 3.0]),
+        b=hs.sampled_from(EDGE_FLOATS),
+        gamma0=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        as_numpy=hs.booleans(),
+    )
+    @example(a=0.0, b=1.0, gamma0=-math.inf, as_numpy=True)
+    def test_shift_from_ab(self, a, b, gamma0, as_numpy):
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                tau = merror.shift_from_ab(wrap(a), wrap(b), wrap(gamma0))
+            except CvRunRulesError:
+                return
+            assert ShiftSpec.from_ab(wrap(a), wrap(b), wrap(gamma0)).tau == tau
+        assert 0.0 < tau < math.inf
 
 
 class TestSweep:

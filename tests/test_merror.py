@@ -1,9 +1,12 @@
 """Measurement-error model tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cvrunrules.cvdist import cv2_cdf
 from cvrunrules.errors import DomainError, GammaDomainError
@@ -166,6 +169,46 @@ class TestShiftSpec:
         # 0 divided by zero, a negative CV gave a shift, and NaN was blamed on a
         with pytest.raises(GammaDomainError, match=rf"gamma must be finite and at least 1e-150, got {gamma0}"):
             ShiftSpec.from_tau(1.5, gamma0)
+
+    @pytest.mark.parametrize("b", [1e-300, 0.5, 1.0, 1e10, 1e300])
+    def test_from_tau_domain_is_tau_up_to_2_pow_21_b(self, b):
+        # the round trip through a = (b/tau - 1)/gamma0 used to fail at
+        # scattered tau below b/tau = 1.6e-7: (1, 3e6) passed, 1e15 did not
+        exponents = math.log10(b) + np.linspace(-6, 20, 4001)
+        taus = 10.0 ** exponents[exponents < 308]
+        taus = np.concatenate((taus, b * 2.0**21 * np.array([1 - 2.0**-52, 1.0, 1 + 2.0**-52])))
+        for tau in np.sort(taus):
+            if tau <= 2.0**21 * b:
+                shift = ShiftSpec.from_tau(tau, 0.1, b=b)
+                assert shift_from_ab(shift.a, b, 0.1) == pytest.approx(tau, rel=1e-9)
+            else:
+                message = re.escape(f"tau={tau} is too large: b/tau is below 2**-21 for b={b}")
+                with pytest.raises(DomainError, match=message):
+                    ShiftSpec.from_tau(tau, 0.1, b=b)
+
+    @settings(max_examples=400)
+    @given(
+        log_gamma0=hs.floats(-150.0, 3.0),
+        log_b=hs.floats(-300.0, 300.0),
+        log2_ratio=hs.floats(-60.0, 60.0),
+        as_numpy=hs.booleans(),
+    )
+    def test_from_tau_refusals_monotone_in_tau(self, log_gamma0, log_b, log2_ratio, as_numpy):
+        # at b/tau >= 2^-21 the shift is built and round-trips; below, tau
+        # is refused as too large, and so is every larger finite tau
+        wrap = np.float64 if as_numpy else float
+        gamma0, b = 10.0**log_gamma0, 10.0**log_b
+        tau = b / 2.0**log2_ratio
+        if not 0.0 < tau < math.inf:
+            return
+        if b / tau >= 2.0**-21:
+            shift = ShiftSpec.from_tau(wrap(tau), wrap(gamma0), b=wrap(b))
+            assert shift.tau == tau
+            return
+        for larger in (tau, tau * (1 + 2.0**-52), tau * 2.0, tau * 1e10, tau * 1e300):
+            if larger < math.inf:
+                with pytest.raises(DomainError, match="is too large: b/tau is below 2"):
+                    ShiftSpec.from_tau(wrap(larger), wrap(gamma0), b=wrap(b))
 
     def test_in_control(self):
         shift = ShiftSpec.in_control(0.1)
