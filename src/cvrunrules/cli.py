@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .config import ChartConfig, _limit_label, load_config
-from .cvdist import ProcessModel, cv2_pdf
+from .cvdist import _PROFILES, ProcessModel, cv2_pdf
 from .design import (
     ChartDesign,
     ShiftRange,
     SWEEP_COLUMNS,
+    _DEFAULT_NODES,
     _incontrol_moments,
     arl_at_shift,
     earl,
@@ -86,7 +87,7 @@ def _subcommand(sub, name: str, run: Callable, help: str, *, needs_config: bool 
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument(
         "--cdf",
-        choices=("exact", "cdflib"),
+        choices=_PROFILES,
         default="exact",
         help="noncentral-F evaluation profile; 'cdflib' matches legacy-library numerics",
     )
@@ -109,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "earl", _cmd_earl, "expected ARL over a shift range")
     p.add_argument("--omega", type=float, nargs=2, metavar=("LO", "HI"), required=True)
-    p.add_argument("--nodes", type=int, default=64, help="Gauss-Legendre node count")
+    p.add_argument("--nodes", type=int, default=_DEFAULT_NODES, help="Gauss-Legendre node count")
 
     p = _subcommand(sub, "sweep", _cmd_sweep, "Cartesian grid evaluation to CSV/JSON")
     for _, option, kind, _ in _SWEEP_OPTIONS:
         p.add_argument(f"--{option}", type=kind, nargs="+")
     p.add_argument("--tau", type=float, nargs="*", help="shift grid; pass with no values for an empty grid")
     p.add_argument("--omega", type=float, nargs=2, action="append", metavar=("LO", "HI"))
-    p.add_argument("--nodes", type=int, default=64)
+    p.add_argument("--nodes", type=int, default=_DEFAULT_NODES)
 
     p = _subcommand(sub, "simulate", _cmd_simulate, "Monte Carlo run-length estimate of a designed chart")
     p.add_argument("--rule", required=True, help="which configured rule, as r,s,direction (e.g. 2,3,upper)")
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--seed", type=int, default=20230517)
-    p.add_argument("--max-run-length", type=int, default=10_000_000)
+    p.add_argument("--max-run-length", type=int, default=SimConfig.max_run_length)
 
     p = _subcommand(sub, "monitor", _cmd_monitor, "apply designed charts to recorded phase-II data")
     p.add_argument("data", help="CSV with header index,mean,std")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .cvdist import ProcessModel
+from .design import DEFAULT_ARL0
 from .errors import ConfigError, DomainError
 from .merror import MeasurementErrorModel
 from .runrules import Direction, RunRule
@@ -99,7 +100,7 @@ def parse_config(doc: Mapping) -> ChartConfig:
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"rules[{i}]: {exc}") from exc
 
-    arl0 = _require_finite(doc.get("arl0", 370.4), "arl0")
+    arl0 = _require_finite(doc.get("arl0", DEFAULT_ARL0), "arl0")
     if not arl0 > 1:
         raise ConfigError(f"arl0: must exceed 1, got {arl0}")
 

@@ -44,11 +44,15 @@ _PROFILES = ("exact", "cdflib")
 # n / gamma^2 stays finite above this floor for every n under 1.8e8; below
 # it gamma^2 nears underflow, and n / gamma^2 overflows or divides by zero.
 _GAMMA_FLOOR = 1e-150
+# gamma^2 stays finite below this ceiling, so no level overflows it.
+_GAMMA_CEILING = 1e150
 
 
 def _check_gamma(gamma: float, force: bool) -> None:
     if not _GAMMA_FLOOR <= gamma < math.inf:  # force opens the window, never to inf or NaN
         raise GammaDomainError(f"gamma must be finite and at least {_GAMMA_FLOOR}, got {gamma}")
+    if not gamma < _GAMMA_CEILING:
+        raise GammaDomainError(f"gamma must be below {_GAMMA_CEILING} for its square to stay finite, got {gamma}")
     if gamma >= GAMMA_VALIDITY_LIMIT and not force:
         raise GammaDomainError(
             f"gamma = {gamma} is outside the validity window (0, {GAMMA_VALIDITY_LIMIT}); "
@@ -88,12 +92,13 @@ class Cv2Moments:
     std: float
 
     def __post_init__(self) -> None:
-        if not (self.mean > 0 and self.std > 0):
-            raise DomainError(f"moments must be positive, got mean={self.mean}, std={self.std}")
+        if not (0 < self.mean < math.inf and 0 < self.std < math.inf):
+            raise DomainError(f"moments must be positive and finite, got mean={self.mean}, std={self.std}")
 
 
 def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     """P(sample CV <= x) for x > 0."""
+    x = float(x)  # a numpy scalar would overflow sqrt(n)/x with a RuntimeWarning
     as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if not x > 0.0:
@@ -103,6 +108,7 @@ def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
 
 def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str = "exact") -> float:
     """P(squared sample CV <= x); returns 0 for x <= 0 and 1 at +inf."""
+    x = float(x)  # a numpy scalar would overflow n/x with a RuntimeWarning
     _check_levels(n, [gamma], force, profile)
     if x <= 0.0:
         return 0.0
@@ -137,6 +143,7 @@ def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     n/x^2 factor overflows as x -> 0.  0.0 where n/x overflows or the
     density is below e^-700.
     """
+    x = float(x)  # a numpy scalar would overflow n/x with a RuntimeWarning
     as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)
     if not x > 0.0:

@@ -27,11 +27,13 @@ read no SDRL, through its forward elimination alone (``runrules._arls``).
 The 64 EARL nodes share one limit, so they share the kernel's beta
 column, and go to the chain as one stack.  Their observed CVs come from
 one array expression (``merror._observed_cv``) once the end nodes pass
-the scalar shift checks, which are all monotone in tau, and their
-Gauss-Legendre rule from Newton's method on the three-term recurrence
-(``_gauss_legendre``): nodes within half an ulp and weights within 2.5e-17
-of a 40-digit rule at 64 nodes, about 1 ms at 64 nodes and 20 ms at 1024,
-once per process, with neither ``numpy.polynomial`` nor LAPACK loaded.
+``ShiftSpec.from_tau`` and ``merror.observed_cv_shifted``, which owns
+every check of the observed CV; all those refusals are monotone in tau.
+Their Gauss-Legendre rule comes from Newton's method on the three-term
+recurrence (``_gauss_legendre``): nodes within half an ulp and weights
+within 2.5e-17 of a 40-digit rule at 64 nodes, about 1 ms at 64 nodes and
+20 ms at 1024, once per process, with neither ``numpy.polynomial`` nor
+LAPACK loaded.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import cvdist, merror, runrules
 from .cvdist import Cv2Moments, ProcessModel, moments_for_gamma
-from .errors import ChainSingularError, DomainError, GammaDomainError, UnattainableDesignError, as_integer
+from .errors import ChainSingularError, CvRunRulesError, DomainError, GammaDomainError, UnattainableDesignError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
 from .runrules import Direction, RunLengthMetrics, RunRule
 
@@ -221,7 +223,7 @@ def _incontrol_moments(pm: ProcessModel, me: Optional[MeasurementErrorModel]) ->
     is anchored to."""
     me = me if me is not None else MeasurementErrorModel.identity()
     gamma_in = merror.observed_cv_incontrol(pm.gamma0, me)
-    if not 0.0 < gamma_in < 0.5:
+    if not 0.0 < gamma_in < cvdist.GAMMA_VALIDITY_LIMIT:
         raise GammaDomainError(
             f"observed in-control CV {gamma_in:.6g} is outside the validity window"
         )
@@ -311,7 +313,6 @@ def arl_at_shift(
     """
     me = me if me is not None else MeasurementErrorModel.identity()
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
-    shift.check_gamma0(pm.gamma0)
     gammas = [merror.observed_cv_shifted(pm.gamma0, shift, me)]
     # a shifted CV may lie past the validity window
     probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, force=True, profile=profile)
@@ -321,8 +322,9 @@ def arl_at_shift(
 
 # The rule takes a few recurrence passes of O(nodes^2) flops in O(nodes)
 # memory: about 1 ms at 64 nodes and 20 ms at 1024, once per process and count.
-# 64 nodes already reach 5e-14 on the paper's charts.
 _MAX_NODES = 1024
+# 64 nodes already reach 5e-14 on the paper's charts.
+_DEFAULT_NODES = 64
 # The double Newton iteration stops after a step this small: the roots are
 # then within an ulp up to 1024 nodes, and one wide step finishes them.
 _NEWTON_STEP = 1e-10
@@ -394,7 +396,7 @@ def earl(
     me: Optional[MeasurementErrorModel],
     shift_range: ShiftRange,
     *,
-    nodes: int = 64,
+    nodes: int = _DEFAULT_NODES,
     profile: str = "exact",
     b: float = 1.0,
 ) -> float:
@@ -450,7 +452,7 @@ def sweep(
     *,
     arl0: float = DEFAULT_ARL0,
     profile: str = "exact",
-    nodes: int = 64,
+    nodes: int = _DEFAULT_NODES,
 ) -> list[dict[str, object]]:
     """Cartesian-product evaluation over chart and model parameters.
 
@@ -458,9 +460,10 @@ def sweep(
     tau, and optionally shift ranges via omega = [(lo, hi), ...].  Exactly
     one of tau / omega drives the performance column: tau rows emit
     ARL/SDRL, omega rows emit EARL.  Each row's keys are ``SWEEP_COLUMNS``
-    in order.  Per-cell failures, of the design or of the shift, are
-    recorded in the row's ``error`` column and the sweep continues; a bad
-    ``nodes`` fails an omega sweep before any cell (a tau sweep ignores it).
+    in order.  Per-cell failures (a ``CvRunRulesError``), of the design or
+    of the shift, are recorded in the row's ``error`` column and the sweep
+    continues; any other exception is a bug and propagates.  A bad ``nodes``
+    fails an omega sweep before any cell (a tau sweep ignores it).
     """
     axes = dict(grid)
     levels = [list(axes.pop(axis, [default])) for axis, default in _SWEEP_AXES]
@@ -485,7 +488,7 @@ def sweep(
             me = MeasurementErrorModel(theta=theta, eta=eta, slope=slope, reps=m)
             pm = ProcessModel(gamma0=gamma0, n=n)
             design = solve_design(rule, pm, me, arl0, profile=profile)
-        except Exception as exc:  # per-cell capture by contract
+        except CvRunRulesError as exc:  # per-cell capture by contract
             design_error = str(exc)
         k, limit = (design.k, design.limit) if design is not None else (None, None)
         for tau, lo, hi in shift_cells:
@@ -498,7 +501,7 @@ def sweep(
                         arl, sdrl = metrics.arl, metrics.sdrl
                     else:
                         value = earl(design, pm, me, ShiftRange(lo, hi), nodes=nodes, profile=profile)
-                except Exception as exc:
+                except CvRunRulesError as exc:
                     error = str(exc)
             values = (rule.r, rule.s, rule.direction.value, *cell, tau, lo, hi, k, limit, arl, sdrl, value, error)
             rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))

@@ -11,6 +11,13 @@ per-item averages then have coefficient of variation
 where the process shift is parameterized either by a standardized mean
 shift a and standard-deviation multiplier b, tied together through
 tau = b / (1 + a gamma0).
+
+``observed_cv_incontrol`` and ``observed_cv_shifted`` own every check of
+the observed CV: gamma0 itself, that the shift was built for it, and a
+finite square, denominator and CV, each a plain float comparison
+(``_checked_cv``).  ``_observed_cv`` is the one unchecked expression, at
+a float tau or over an array of them; EARL takes its nodes' CVs from it
+once its two end nodes pass the checked path.
 """
 
 from __future__ import annotations
@@ -173,38 +180,39 @@ def shift_from_ab(a: float, b: float, gamma0: float) -> float:
     return tau
 
 
-def _check_squares(**values: float) -> None:
-    # The observed CV squares slope, eta and b; from 2^512 on, ** overflows.
-    for name, value in values.items():
-        if not value < _SQUARE_MAX:
-            raise DomainError(f"{name} must be below 2**511 for its square to stay finite, got {value}")
-
-
 def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
     """In-control CV of the observed (averaged) measurements."""
     _check_gamma(gamma0, force=True)
-    return _observed_cv(gamma0, 1.0, 1.0, me)
+    return _checked_cv(gamma0, 1.0, 1.0, me)
 
 
 def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel) -> float:
-    """Out-of-control CV of the observed measurements under the shift."""
-    return _observed_cv(gamma0, shift.tau, shift.b, me)
+    """Out-of-control CV of the observed measurements under a shift for gamma0."""
+    _check_gamma(gamma0, force=True)
+    shift.check_gamma0(gamma0)
+    return _checked_cv(gamma0, shift.tau, shift.b, me)
+
+
+def _checked_cv(gamma0: float, tau: float, b: float, me: MeasurementErrorModel) -> float:
+    """``_observed_cv`` at one float tau, refused where a square, the
+    denominator or the CV is not finite.  Every refusal is monotone in tau."""
+    for name, value in (("slope", me.slope), ("eta", me.eta), ("b", b)):
+        if not value < _SQUARE_MAX:  # from 2^512 on, ** overflows
+            raise DomainError(f"{name} must be below 2**511 for its square to stay finite, got {value}")
+    denom = me.theta + me.slope * b / tau
+    if not 0 < denom < math.inf:
+        raise DomainError(f"theta + B*b/tau must be positive and finite, got {denom}")
+    cv = _observed_cv(gamma0, tau, b, me)
+    if not cv < math.inf:
+        raise DomainError(f"the observed CV must be finite, got {cv}")
+    return cv
 
 
 def _observed_cv(gamma0: float, tau: float | np.ndarray, b: float, me: MeasurementErrorModel) -> float | np.ndarray:
-    """The observed CV at shift tau with std multiplier b, at one float tau
-    or elementwise over an array, with the same float operations at each.
-
-    Both checks are monotone in tau, so an ascending array whose ends pass
-    them passes at every tau, with no overflow or division by zero."""
-    _check_squares(slope=me.slope, eta=me.eta, b=b)
-    denom = me.theta + me.slope * b / tau
-    if not np.all((denom > 0) & (denom < math.inf)):
-        raise DomainError(f"theta + B*b/tau must be positive and finite, got {denom}")
-    cv = float(gamma0) * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / denom
-    if not np.all(cv < math.inf):
-        raise DomainError(f"the observed CV must be finite, got {cv}")
-    return cv
+    """The observed CV at shift tau with std multiplier b, unchecked, at a float
+    tau or elementwise over an array of them with the same float operations:
+    where an ascending array's end taus pass ``_checked_cv``, every tau does."""
+    return float(gamma0) * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (me.theta + me.slope * b / tau)
 
 
 def observed_cv2_cdf(

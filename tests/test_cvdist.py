@@ -102,6 +102,21 @@ class TestCvCdf:
         with pytest.raises(GammaDomainError):
             ProcessModel(gamma, 5)
 
+    @pytest.mark.parametrize("gamma", [1e150, 1e300, 1.7e308])
+    def test_gamma_whose_square_overflows_rejected(self, gamma):
+        # gamma^2 overflowed in n / gamma^2: inf for a float, a RuntimeWarning
+        # for a numpy scalar, and a law of noncentrality 0 either way
+        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+            for wrap in (float, np.float64):
+                with pytest.raises(GammaDomainError, match=r"gamma must be below 1e\+150 for its square to stay finite"):
+                    law(0.5, 5, wrap(gamma), force=True)
+
+    def test_gamma_just_below_the_ceiling_accepted(self):
+        gamma = math.nextafter(1e150, 0.0)
+        assert 0.0 <= cv_cdf(0.5, 5, gamma, force=True) <= 1.0
+        assert 0.0 <= cv2_cdf(0.5, 5, gamma, force=True) <= 1.0
+        assert 0.0 <= cv2_pdf(0.5, 5, gamma, force=True) < math.inf
+
 
 class TestCv2Cdf:
     def test_cross_law_agreement(self):
@@ -214,6 +229,12 @@ class TestMoments:
             Cv2Moments(mean=0.0, std=1.0)
         with pytest.raises(DomainError):
             Cv2Moments(mean=1.0, std=-1.0)
+
+    @pytest.mark.parametrize("mean,std", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_moments_rejected(self, mean, std):
+        # an infinite mean or std was accepted as a positive moment
+        with pytest.raises(DomainError, match="moments must be positive and finite"):
+            Cv2Moments(mean=mean, std=std)
 
     # Approximation quality, measured against 1e7-replicate simulation:
     # the std is within 0.3% everywhere, but the mean (which corrects only

@@ -423,7 +423,7 @@ class TestEarl:
         pm = ProcessModel(gamma0, n)
         d = solve_design(rule(r, s, direction), pm, me, profile=profile)
         shift_range = INCREASING_SHIFTS if direction == "upper" else DECREASING_SHIFTS
-        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = _gauss_legendre(64)
         half = 0.5 * (shift_range.hi - shift_range.lo)
         mid = 0.5 * (shift_range.hi + shift_range.lo)
         arls = [
@@ -868,6 +868,100 @@ class TestTypedFailures:
             assert ShiftSpec.from_ab(wrap(a), wrap(b), wrap(gamma0)).tau == tau
         assert 0.0 < tau < math.inf
 
+    # cvdist's and runrules' public surface: the three laws, the process
+    # model and its moments, the inside probability and the chain's metrics
+    @settings(max_examples=400)
+    @given(
+        law=hs.sampled_from(["cv_cdf", "cv2_cdf", "cv2_pdf"]),
+        x=hs.sampled_from(EDGE_FLOATS + [0.01, 0.3]),
+        gamma=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        force=hs.booleans(),
+        profile=hs.sampled_from(["exact", "cdflib"]),
+        as_numpy=hs.booleans(),
+    )
+    @example(law="cv2_cdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
+    @example(law="cv2_pdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
+    @example(law="cv_cdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
+    @example(law="cv_cdf", x=1e-300, gamma=0.1, force=False, profile="exact", as_numpy=True)
+    @example(law="cv2_cdf", x=0.5, gamma=1e300, force=True, profile="cdflib", as_numpy=True)
+    def test_cv_laws(self, law, x, gamma, force, profile, as_numpy):
+        from cvrunrules import cvdist
+
+        wrap = np.float64 if as_numpy else float
+        kwargs = {"force": force, "profile": profile} if law == "cv2_cdf" else {"force": force}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = getattr(cvdist, law)(wrap(x), 5, wrap(gamma), **kwargs)
+            except CvRunRulesError:
+                return
+        assert 0.0 <= value < math.inf
+        if law != "cv2_pdf":
+            assert value <= 1.0
+
+    @settings(max_examples=200)
+    @given(
+        gamma0=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        n=hs.sampled_from([2, 5, 200]),
+        mean=hs.sampled_from(EDGE_FLOATS),
+        std=hs.sampled_from(EDGE_FLOATS),
+        as_numpy=hs.booleans(),
+    )
+    def test_process_model_and_moments(self, gamma0, n, mean, std, as_numpy):
+        from cvrunrules.cvdist import Cv2Moments, cv2_moments
+
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for build in (lambda: cv2_moments(ProcessModel(wrap(gamma0), n)), lambda: Cv2Moments(wrap(mean), wrap(std))):
+                try:
+                    moments = build()
+                except CvRunRulesError:
+                    continue
+                assert 0.0 < moments.mean < math.inf and 0.0 < moments.std < math.inf
+
+    @settings(max_examples=300)
+    @given(
+        direction=hs.sampled_from(["upper", "lower"]),
+        limit=hs.sampled_from(EDGE_FLOATS + [0.005, 0.02]),
+        gamma=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
+        force=hs.booleans(),
+        profile=hs.sampled_from(["exact", "cdflib"]),
+        as_numpy=hs.booleans(),
+    )
+    @example(direction="upper", limit=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
+    @example(direction="lower", limit=1e-320, gamma=0.1, force=False, profile="cdflib", as_numpy=True)
+    @example(direction="lower", limit=0.5, gamma=1e300, force=True, profile="exact", as_numpy=True)
+    def test_in_control_prob(self, direction, limit, gamma, force, profile, as_numpy):
+        from cvrunrules.runrules import in_control_prob
+
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                p = in_control_prob(Direction(direction), wrap(limit), 5, wrap(gamma), force=force, profile=profile)
+            except CvRunRulesError:
+                return
+        assert 0.0 <= p <= 1.0
+
+    @settings(max_examples=100)
+    @given(
+        p=hs.sampled_from(EDGE_FLOATS + [0.9, 0.999]),
+        rs=hs.sampled_from([(1, 1), (2, 3), (4, 5), (8, 10)]),
+        as_numpy=hs.booleans(),
+    )
+    def test_run_length_metrics(self, p, rs, as_numpy):
+        from cvrunrules.runrules import run_length_metrics
+
+        wrap = np.float64 if as_numpy else float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                (metrics,) = run_length_metrics(rule(*rs, "upper"), [wrap(p)])
+            except CvRunRulesError:
+                return
+        assert rs[0] <= metrics.arl < math.inf and 0.0 <= metrics.sdrl < math.inf
+
 
 class TestSweep:
     def test_degenerate_grid_equals_direct_call(self):
@@ -921,6 +1015,30 @@ class TestSweep:
                 assert row["error"] is not None and row["k"] is None and row["arl"] is None
         assert "subgroup size n" in by_cell[5.7, "int"]["error"]
         assert "reps" in by_cell[5, "bool"]["error"]
+
+    @pytest.mark.parametrize("stage", ["solve_design", "arl_at_shift", "earl"])
+    def test_only_package_errors_recorded(self, monkeypatch, stage):
+        # a bug's ZeroDivisionError used to be written into the error column
+        import cvrunrules.design as design_mod
+
+        real = getattr(design_mod, stage)
+        axis = {"omega": [(1.0, 2.0)]} if stage == "earl" else {"tau": [1.5]}
+
+        def failing(exc):
+            def call(*args, **kwargs):
+                raise exc
+
+            return call
+
+        monkeypatch.setattr(design_mod, stage, failing(ZeroDivisionError("a bug")))
+        with pytest.raises(ZeroDivisionError, match="a bug"):
+            sweep([rule(2, 3, "upper")], {"gamma0": [0.1], **axis}, nodes=16)
+        monkeypatch.setattr(design_mod, stage, failing(DomainError("a cell's input")))
+        (row,) = sweep([rule(2, 3, "upper")], {"gamma0": [0.1], **axis}, nodes=16)
+        assert row["error"] == "a cell's input"
+        monkeypatch.setattr(design_mod, stage, real)
+        (row,) = sweep([rule(2, 3, "upper")], {"gamma0": [0.1], **axis}, nodes=16)
+        assert row["error"] is None
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError):

@@ -170,6 +170,17 @@ class TestShiftSpec:
         with pytest.raises(GammaDomainError, match=rf"gamma must be finite and at least 1e-150, got {gamma0}"):
             ShiftSpec.from_tau(1.5, gamma0)
 
+    @pytest.mark.parametrize("b", [1.0, 0.7, 3.3])
+    def test_from_tau_refuses_gamma0_past_the_ceiling(self, b):
+        # at gamma0 = 1.7e308, a = (b/tau - 1)/gamma0 is subnormal, and some
+        # tau below 2^21 b were refused as an "inconsistent shift"
+        message = r"gamma must be below 1e\+150 for its square to stay finite"
+        for tau in b * 2.0 ** np.linspace(19.0, 21.0, 401):
+            for gamma0 in (1e150, 1.7e308):
+                with pytest.raises(GammaDomainError, match=message):
+                    ShiftSpec.from_tau(tau, gamma0, b=b)
+        assert ShiftSpec.from_tau(1.5 * b, math.nextafter(1e150, 0.0), b=b).tau == 1.5 * b
+
     @pytest.mark.parametrize("b", [1e-300, 0.5, 1.0, 1e10, 1e300])
     def test_from_tau_domain_is_tau_up_to_2_pow_21_b(self, b):
         # the round trip through a = (b/tau - 1)/gamma0 used to fail at
@@ -235,6 +246,22 @@ class TestObservedCvShifted:
         me = MeasurementErrorModel(theta=0.05, eta=0.0, slope=1.0, reps=1)
         shift = ShiftSpec.from_tau(0.8, 0.05)
         assert observed_cv_shifted(0.05, shift, me) == pytest.approx(0.05 / (0.05 + 1.25), abs=1e-12)
+
+    @pytest.mark.parametrize("gamma0", [-1.0, 0.0, math.nan])
+    def test_bad_gamma0_is_a_gamma_domain_error(self, gamma0):
+        # -1 gave -1.5 and 0 gave 0.0; gamma0 is checked before the shift's match
+        shift = ShiftSpec.from_tau(1.5, 0.1)
+        for me in (MeasurementErrorModel(), MeasurementErrorModel(theta=0.05, eta=0.28)):
+            with pytest.raises(GammaDomainError, match="gamma must be finite and at least 1e-150"):
+                observed_cv_shifted(gamma0, shift, me)
+
+    def test_shift_for_another_gamma0_refused(self):
+        # a shift built at gamma0 = 0.1 realizes another tau at 0.3: it gave 0.45
+        shift = ShiftSpec.from_tau(1.5, 0.1)
+        message = "shift was built for gamma0=0.1, but the process has gamma0=0.3"
+        with pytest.raises(DomainError, match=message):
+            observed_cv_shifted(0.3, shift, MeasurementErrorModel())
+        assert observed_cv_shifted(0.1, shift, MeasurementErrorModel()) == pytest.approx(0.15, rel=1e-15)
 
     def test_ratio_tends_to_tau(self):
         # for b = 1, gamma1*/gamma0* -> tau as the error terms vanish
