@@ -12,7 +12,7 @@ variates.  The item-by-item pipeline lives in the test suite, as the
 reference for that sampler.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cvdist import Cv2Moments, ProcessModel, cv2_cdf, cv2_moments, cv2_pdf, cv_cdf
 from .design import (
@@ -35,11 +35,10 @@ from .errors import (
     GammaDomainError,
     UnattainableDesignError,
 )
-from .mcsim import SimConfig, estimate_run_length, simulate_subgroup, simulate_subgroups
+from .mcsim import SimConfig, estimate_run_length, simulate_subgroups
 from .merror import (
     MeasurementErrorModel,
     ShiftSpec,
-    observed_cv2_cdf,
     observed_cv_incontrol,
     observed_cv_shifted,
     shift_from_ab,
@@ -47,12 +46,9 @@ from .merror import (
 from .phase2 import MonitorTrace, PhaseIIRecord, PhaseIISeries, monitor, monitor_values, read_phase2_csv
 from .runrules import (
     Direction,
-    RuleChain,
     RunLengthMethod,
     RunLengthMetrics,
     RunRule,
-    arl,
-    build_chain,
     in_control_prob,
     run_length_metrics,
 )
@@ -70,15 +66,11 @@ __all__ = [
     "observed_cv_incontrol",
     "observed_cv_shifted",
     "shift_from_ab",
-    "observed_cv2_cdf",
     "Direction",
     "RunRule",
-    "RuleChain",
     "RunLengthMethod",
     "RunLengthMetrics",
-    "build_chain",
     "in_control_prob",
-    "arl",
     "run_length_metrics",
     "ChartDesign",
     "ShiftRange",
@@ -90,7 +82,6 @@ __all__ = [
     "earl",
     "sweep",
     "SimConfig",
-    "simulate_subgroup",
     "simulate_subgroups",
     "estimate_run_length",
     "PhaseIIRecord",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,22 @@ from .errors import DomainError, as_integer
 from .merror import MeasurementErrorModel, ShiftSpec
 from .runrules import Direction, RunLengthMethod, RunLengthMetrics
 
-__all__ = ["SimConfig", "simulate_subgroup", "simulate_subgroups", "estimate_run_length"]
+__all__ = ["SimConfig", "simulate_subgroups", "estimate_run_length"]
 
 logger = logging.getLogger(__name__)
 
 # WLOG normalization of the true process: the CV alone fixes the law of
 # the sample CV, so mu0 = 1, sigma0 = gamma0.
 _MU0 = 1.0
+
+# The observed mean and the two standard-deviation terms stay below 2^500:
+# numpy's normal deviates stay below 14 in magnitude and chi2/(n - 1) below
+# 2^8 (both are built from 53-bit uniforms), so no square or product in the
+# draws reaches 2^1024.  The mean stays above 2^-500, where its square is
+# nonzero; below, every draw of a near-constant mean squares to 0 and the
+# zero-mean redraw never ends.
+_MOMENT_MAX = 2.0**500
+_MOMENT_MIN = 2.0**-500
 
 _CHUNK = 1 << 16
 _BLOCK = 1 << 14  # values per block draw, unless one row of live replications is more
@@ -87,7 +95,9 @@ def simulate_subgroups(
     mu* = theta*mu0 + B*(mu0 + a*sigma0) and variance
     sigma*^2 = (B*b*sigma0)^2 + (eta*sigma0)^2/m, so each subgroup takes
     one normal draw for its mean and then one chi-square draw for its
-    variance.  Returns (S*/mean*)^2 over the n averages.
+    variance.  Returns (S*/mean*)^2 over the n averages.  Refuses, before
+    any draw, a mu* outside (2^-500, 2^500) and a B*b*sigma0 or
+    eta*sigma0 of 2^500 or more.
     """
     size = as_integer(size, "size", 0)
     n = as_integer(n, "subgroup size n", 2)
@@ -95,7 +105,12 @@ def simulate_subgroups(
     shift.check_gamma0(gamma0)
     sigma0 = gamma0 * _MU0
     mean_star = me.theta * _MU0 + me.slope * (_MU0 + shift.a * sigma0)
-    var_star = (me.slope * shift.b * sigma0) ** 2 + (me.eta * sigma0) ** 2 / me.reps
+    sd_item, sd_error = me.slope * shift.b * sigma0, me.eta * sigma0
+    if not _MOMENT_MIN < mean_star < _MOMENT_MAX:
+        raise DomainError(f"the observed mean mu* must lie in (2**-500, 2**500), got {mean_star}")
+    if not (sd_item < _MOMENT_MAX and sd_error < _MOMENT_MAX):
+        raise DomainError(f"B*b*sigma0 and eta*sigma0 must be below 2**500, got {sd_item} and {sd_error}")
+    var_star = sd_item**2 + sd_error**2 / me.reps
     sd_mean = math.sqrt(var_star / n)
     var_scale = var_star / (n - 1)
     xbar2 = rng.normal(mean_star, sd_mean, size=size)
@@ -113,21 +128,6 @@ def simulate_subgroups(
     if redraws:
         logger.warning("re-drew %d subgroups with a zero observed mean", redraws)
     return out
-
-
-def simulate_subgroup(
-    n: int, gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel, rng: np.random.Generator
-) -> float:
-    """Single observed squared sample CV.
-
-    Deprecated: it is one row of ``simulate_subgroups``.
-    """
-    warnings.warn(
-        "cvrunrules.mcsim.simulate_subgroup is deprecated; use simulate_subgroups(1, ...)[0]",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return float(simulate_subgroups(1, n, gamma0, shift, me, rng)[0])
 
 
 def _block_signals(outside: np.ndarray, ring: np.ndarray, count: np.ndarray, done: int, r: int) -> np.ndarray:

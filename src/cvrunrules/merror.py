@@ -23,12 +23,11 @@ once its two end nodes pass the checked path.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cvdist import _check_gamma, cv2_cdf
+from .cvdist import _check_gamma
 from .errors import DomainError, as_integer
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "observed_cv_incontrol",
     "observed_cv_shifted",
     "shift_from_ab",
-    "observed_cv2_cdf",
 ]
 
 _AB_CONSISTENCY_TOL = 1e-9
@@ -106,6 +104,7 @@ class ShiftSpec:
     gamma0: float
 
     def __post_init__(self) -> None:
+        _check_gamma(self.gamma0, force=True)
         for name in ("tau", "b", "a"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -213,19 +212,3 @@ def _observed_cv(gamma0: float, tau: float | np.ndarray, b: float, me: Measureme
     tau or elementwise over an array of them with the same float operations:
     where an ascending array's end taus pass ``_checked_cv``, every tau does."""
     return float(gamma0) * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (me.theta + me.slope * b / tau)
-
-
-def observed_cv2_cdf(
-    x: float, n: int, gamma_star: float, *, force: bool = False, profile: str = "exact"
-) -> float:
-    """CDF of the squared observed sample CV: the error-free law with the
-    observed CV in place of the true one.
-
-    Deprecated: it is ``cv2_cdf`` with the same arguments.
-    """
-    warnings.warn(
-        "cvrunrules.merror.observed_cv2_cdf is deprecated; use cvrunrules.cv2_cdf",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return cv2_cdf(x, n, gamma_star, force=force, profile=profile)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .design import ChartDesign
 from .errors import ConfigError, DomainError
+from .merror import _SQUARE_MAX
 from .runrules import Direction, RunRule, history_path, rule_automaton
 
 __all__ = ["PhaseIIRecord", "PhaseIISeries", "MonitorTrace", "read_phase2_csv", "monitor_values", "monitor"]
@@ -45,6 +46,10 @@ class PhaseIIRecord:
             raise DomainError(f"sample mean must be finite and nonzero (record {self.index})")
         if not 0.0 <= self.sample_std < math.inf:
             raise DomainError(f"sample std must be finite and >= 0 (record {self.index})")
+        if not self.sample_std / _SQUARE_MAX < abs(self.sample_mean):  # std/|mean| < 2^511, without overflow
+            raise DomainError(
+                f"sample std/|mean| must be below 2**511 for the squared CV to stay finite (record {self.index})"
+            )
 
     @property
     def cv(self) -> float:
@@ -57,7 +62,9 @@ class PhaseIIRecord:
 
 def _first_invalid(mean: np.ndarray, std: np.ndarray) -> Optional[int]:
     """Position of the first subgroup ``PhaseIIRecord`` refuses, if any."""
-    bad = np.flatnonzero((mean == 0.0) | ~np.isfinite(mean) | ~((std >= 0.0) & (std < np.inf)))
+    bad = np.flatnonzero(
+        (mean == 0.0) | ~np.isfinite(mean) | ~((std >= 0.0) & (std < np.inf)) | ~(std / _SQUARE_MAX < np.abs(mean))
+    )
     return int(bad[0]) if bad.size else None
 
 

@@ -33,7 +33,8 @@ the outside edges, which absorb or stay transient), so
 ``run_length_metrics`` fills it straight from p; chart evaluation
 (``design``) goes through it and never builds the full history chain.
 ``build_chain``, which returns that chain as a dense matrix
-(``RuleChain``), and ``arl`` are deprecated.
+(``RuleChain``), and ``arl`` are deprecated and no longer exported by the
+package; they remain here only because the benchmark's tracer names them.
 
 A is an M-matrix whose row sums are the absorption masses, 1 - p or 0.
 ``run_length_metrics`` eliminates it by the method of Grassmann, Taksar &

@@ -14,7 +14,7 @@ from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
 from cvrunrules.errors import DomainError
 from cvrunrules.mcsim import (
-    SimConfig, _block_signals, _chunk_rng, estimate_run_length, simulate_subgroup, simulate_subgroups,
+    SimConfig, _block_signals, _chunk_rng, estimate_run_length, simulate_subgroups,
 )
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
@@ -23,6 +23,8 @@ from conftest import c7_cells
 from pipeline import _pipeline_subgroups
 
 C7_CELLS = c7_cells()
+MEAN_REFUSED = r"mu\* must lie in \(2\*\*-500, 2\*\*500\)"
+SD_REFUSED = r"B\*b\*sigma0 and eta\*sigma0 must be below 2\*\*500"
 
 
 def philox(seed):
@@ -50,11 +52,6 @@ class TestSimConfig:
 
 
 class TestSimulateSubgroup:
-    def test_scalar_wrapper(self):
-        with pytest.deprecated_call():
-            v = simulate_subgroup(5, 0.1, ShiftSpec.in_control(0.1), MeasurementErrorModel.identity(), philox(3))
-        assert v >= 0.0
-
     @pytest.mark.slow
     def test_identity_moments_match_approximation(self):
         # the approximate mean itself is biased about -1.2% at this cell
@@ -114,9 +111,24 @@ class TestSimulateSubgroup:
         me, shift = MeasurementErrorModel.identity(), ShiftSpec.in_control(0.1)
         with pytest.raises(DomainError):
             simulate_subgroups(size, n, gamma0, shift, me, philox(1))
-        if size == 10:
-            with pytest.raises(DomainError), pytest.deprecated_call():
-                simulate_subgroup(n, gamma0, shift, me, philox(1))
+
+    @pytest.mark.parametrize(
+        "me, tau, b, message",
+        [
+            (MeasurementErrorModel(eta=1e200), 1.0, 1.0, SD_REFUSED),
+            (MeasurementErrorModel.identity(), 1e160, 1e160, SD_REFUSED),
+            (MeasurementErrorModel(slope=1e300), 1.0, 1.0, MEAN_REFUSED),
+            (MeasurementErrorModel.identity(), 1e-300, 1.0, MEAN_REFUSED),
+            # mu*^2 underflowed to 0 on every draw, and the zero-mean redraw never ended
+            (MeasurementErrorModel(slope=1e-300), 1.0, 1.0, MEAN_REFUSED),
+        ],
+        ids=["eta-1e200", "b-1e160", "slope-1e300", "tau-1e-300", "slope-1e-300"],
+    )
+    def test_rejects_moments_out_of_range(self, me, tau, b, message):
+        shift, rng = ShiftSpec.from_tau(tau, 0.1, b=b), philox(1)
+        with pytest.raises(DomainError, match=message):
+            simulate_subgroups(10, 5, 0.1, shift, me, rng)
+        assert rng.random() == philox(1).random()  # refused before any draw
 
     def test_two_draws_from_the_model(self):
         # one normal for the subgroup mean, then one chi-square for its

@@ -13,7 +13,6 @@ from cvrunrules.errors import DomainError, GammaDomainError
 from cvrunrules.merror import (
     MeasurementErrorModel,
     ShiftSpec,
-    observed_cv2_cdf,
     observed_cv_incontrol,
     observed_cv_shifted,
     shift_from_ab,
@@ -170,6 +169,20 @@ class TestShiftSpec:
         with pytest.raises(GammaDomainError, match=rf"gamma must be finite and at least 1e-150, got {gamma0}"):
             ShiftSpec.from_tau(1.5, gamma0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShiftSpec.in_control(-1.0),
+            lambda: ShiftSpec(1.0, 0.0, 1.0, 0.0),
+            lambda: ShiftSpec.in_control(math.nan),
+        ],
+        ids=["in-control-negative", "bare-zero", "in-control-nan"],
+    )
+    def test_checks_its_own_gamma0(self, make):
+        # the first two gave a shift, and NaN was blamed on 1 + a*gamma0
+        with pytest.raises(GammaDomainError, match="gamma must be finite and at least 1e-150"):
+            make()
+
     @pytest.mark.parametrize("b", [1.0, 0.7, 3.3])
     def test_from_tau_refuses_gamma0_past_the_ceiling(self, b):
         # at gamma0 = 1.7e308, a = (b/tau - 1)/gamma0 is subnormal, and some
@@ -274,15 +287,9 @@ class TestObservedCvShifted:
 
 
 class TestObservedCv2Cdf:
-    def test_identity_reduction(self):
-        for x in (0.001, 0.01, 0.05):
-            with pytest.deprecated_call():
-                assert observed_cv2_cdf(x, 5, 0.1) == cv2_cdf(x, 5, 0.1)
-
     def test_monotone(self):
         xs = np.linspace(1e-4, 0.08, 40)
-        with pytest.deprecated_call():
-            vals = [observed_cv2_cdf(float(x), 5, 0.095) for x in xs]
+        vals = [cv2_cdf(float(x), 5, 0.095) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.slow
@@ -298,5 +305,4 @@ class TestObservedCv2Cdf:
         x = 0.012
         emp = (g2 <= x).mean()
         se = math.sqrt(emp * (1 - emp) / len(g2))
-        with pytest.deprecated_call():
-            assert abs(observed_cv2_cdf(x, 5, gamma_star) - emp) <= 3 * se
+        assert abs(cv2_cdf(x, 5, gamma_star) - emp) <= 3 * se

@@ -2,6 +2,7 @@
 
 import csv
 import locale
+import math
 import os
 from collections.abc import Sequence
 
@@ -80,6 +81,28 @@ class TestRecords:
         # a NaN CV^2 would count as inside the limit and never signal
         with pytest.raises(DomainError):
             PhaseIIRecord(3, mean, std)
+
+    @pytest.mark.parametrize(
+        "mean,std",
+        [(-1.0, 1e300), (1e-320, 0.5), (1.0, 2.0**511), (-(2.0**-600), 2.0**-89)],
+        ids=["std-1e300", "mean-1e-320", "ratio-2^511", "ratio-2^511-tiny"],
+    )
+    def test_overflowing_cv2_rejected(self, mean, std, tmp_path):
+        # the first raised OverflowError from cv2, the second gave cv2 = inf
+        message = r"sample std/\|mean\| must be below 2\*\*511 for the squared CV to stay finite"
+        with pytest.raises(DomainError, match=message):
+            PhaseIIRecord(1, mean, std)
+        with pytest.raises(DomainError, match=message):
+            PhaseIISeries([1, 2], [906.4, mean], [476.0, std])
+        path = tmp_path / "data.csv"
+        path.write_text(f"index,mean,std\n1,906.4,476.0\n2,{mean!r},{std!r}\n")
+        with pytest.raises(ConfigError, match=rf":3: bad record \({message}"):
+            read_phase2_csv(str(path))
+
+    def test_cv2_just_below_the_bound_accepted(self):
+        std = math.nextafter(2.0**511, 0.0)
+        assert PhaseIIRecord(1, -1.0, std).cv2 == std**2 < math.inf
+        assert PhaseIISeries([1], [-1.0], [std]).cv2[0] == std**2
 
     def test_printed_cv_column_matches_recomputation(self):
         # input-pipeline check: 19 of 20 printed CVs equal std/mean within
