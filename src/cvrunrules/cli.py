@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import operator
 import sys
 from typing import Callable, Optional, Sequence
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .mcsim import SimConfig, estimate_run_length
 from .merror import ShiftSpec
-from .phase2 import monitor, read_phase2_csv
+from .phase2 import _chart_signal, read_phase2_csv
 from .runrules import Direction, RunRule
 
 EXIT_OK = 0
@@ -272,15 +273,16 @@ def _cmd_monitor(args: argparse.Namespace) -> tuple[Sequence[str], list]:
         for direction in dict.fromkeys(d.rule.direction for d in designs):
             shew = RunRule(1, 1, direction)
             designs.append(solve_design(shew, cfg.process, cfg.measurement_error, cfg.arl0, profile=args.cdf))
-    charts = [(_chart(d.rule), trace) for d, trace in zip(designs, monitor(records, designs))]
+    # each chart's signal alone: no output prints the automaton's states
+    charts = [(_chart(d.rule), d.limit, *_chart_signal(records.cv2, d.rule, d.limit)) for d in designs]
     if args.format == "table":
-        rows = [(*chart, t.limit, t.first_signal, t.run_start) for chart, t in charts]
+        rows = [(*chart, limit, first, start) for chart, limit, _, first, start in charts]
         return _MONITOR_SUMMARY_COLUMNS, rows
     index, cv2 = records.index.tolist(), records.cv2.tolist()
     rows = [
-        (*chart, t.limit, i, value, int(out), t.first_signal, t.run_start)
-        for chart, t in charts
-        for i, value, out in zip(index, cv2, t.outside)
+        (*chart, limit, i, value, out, first, start)
+        for chart, limit, outside, first, start in charts
+        for i, value, out in zip(index, cv2, outside.astype(int).tolist())
     ]
     return _MONITOR_COLUMNS, rows
 
@@ -288,6 +290,8 @@ def _cmd_monitor(args: argparse.Namespace) -> tuple[Sequence[str], list]:
 def _cmd_density(args: argparse.Namespace) -> tuple[Sequence[str], list]:
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
+    if args.x_max is not None and not 0.0 < args.x_max < math.inf:
+        raise ConfigError(f"--x-max must be positive and finite, got {args.x_max}")
     rows = []
     for gamma0 in args.gamma0:
         ProcessModel(gamma0=gamma0, n=args.n)  # validates the window

@@ -11,8 +11,13 @@ the first sample whose trailing window of s points holds at least r
 violations, counted as differences of a cumulative sum; a NaN value is
 rejected, never read as inside.  The report also carries the start of the
 consecutive violation run active at the signal, which is how such alarms
-are usually narrated, and the run-rule history after each sample, one of
-the chain's own automaton states (``runrules.history_path``).
+are usually narrated.
+
+``monitor`` and ``monitor_values`` return a full ``MonitorTrace``, which
+adds the run-rule history after each sample, one of the chain's own
+automaton states (``runrules.history_path``).  The ``monitor`` command
+prints no states, so it reads only each chart's signal (``_chart_signal``:
+the flags, the first signal and the run start) and builds no trace.
 """
 
 from __future__ import annotations
@@ -207,14 +212,15 @@ def _state_table(r: int, s: int) -> np.ndarray:
     return _frozen(table)
 
 
-def monitor_values(
-    values: Sequence[float], r: int, s: int, direction: Direction, limit: float
-) -> MonitorTrace:
-    """Run the r-of-s rule over plotted values against one control limit.
+def _chart_signal(
+    values: Sequence[float], rule: RunRule, limit: float
+) -> tuple[np.ndarray, Optional[int], Optional[int]]:
+    """One chart over plotted values: the per-sample violation flags, the
+    1-based first signal and the start of the run active at it (both None
+    without a signal).
 
-    A NaN value or a limit that is NaN or infinite raises ``DomainError``.
+    A limit that is NaN or infinite, or a NaN value, raises ``DomainError``.
     """
-    rule = RunRule(r, s, direction)
     if not math.isfinite(limit):
         raise DomainError(f"control limit must be finite, got {limit}")
     x = np.asarray(values, dtype=float)
@@ -225,15 +231,25 @@ def monitor_values(
     window = np.cumsum(outside)  # violations in the trailing s samples
     window[rule.s :] -= window[: -rule.s].copy()
     hits = np.flatnonzero(window >= rule.r)
-    first_signal = run_start = None
-    before = x.size  # samples before the signal
-    if hits.size:
-        before = int(hits[0])
-        first_signal = before + 1
-        inside = np.flatnonzero(~outside[:before])
-        run_start = int(inside[-1]) + 2 if inside.size else 1
+    if not hits.size:
+        return outside, None, None
+    before = int(hits[0])  # samples before the signal
+    inside = np.flatnonzero(~outside[:before])
+    return outside, before + 1, int(inside[-1]) + 2 if inside.size else 1
+
+
+def monitor_values(
+    values: Sequence[float], r: int, s: int, direction: Direction, limit: float
+) -> MonitorTrace:
+    """Run the r-of-s rule over plotted values against one control limit.
+
+    A NaN value or a limit that is NaN or infinite raises ``DomainError``.
+    """
+    rule = RunRule(r, s, direction)
+    outside, first_signal, run_start = _chart_signal(values, rule, limit)
     # the history after each sample, frozen at the signal
-    path = np.empty(x.size, dtype=np.int64)
+    before = outside.size if first_signal is None else first_signal - 1
+    path = np.empty(outside.size, dtype=np.int64)
     path[:before] = history_path(rule.r, rule.s, outside[:before])
     path[before:] = path[before - 1] if before else rule_automaton(rule.r, rule.s).initial_index
     return MonitorTrace(

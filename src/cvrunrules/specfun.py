@@ -511,7 +511,12 @@ def _cumfnc_sums(
 def _cumfnc_ratios(lo: int, hi: int, a0: float, b: float, xx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """j = lo..hi and the ratios by which the legacy loop steps its beta
     decrements onto a = a0 + j: T(a) / T(a + 1) going down and
-    T(a - 1) / T(a - 2) going up, written as the loop writes them."""
+    T(a - 1) / T(a - 2) going up, written as the loop writes them.
+
+    A down ratio overflows to inf only at an xx near the subnormal range,
+    where every first term centwt * I_xx(a0 + icent, b) is far below
+    ``_CDFLIB_TINY``: no walk goes down there (``_cumfnc``), so no inf is
+    read."""
     j = np.arange(lo, hi + 1, dtype=float)
     a = j + a0
     up = a + b
@@ -519,7 +524,8 @@ def _cumfnc_ratios(lo: int, hi: int, a0: float, b: float, xx: float) -> tuple[np
     up -= 2.0
     up *= xx
     a += 1.0
-    np.divide(a, down, out=down)
+    with np.errstate(over="ignore"):
+        np.divide(a, down, out=down)
     a -= 2.0
     if lo == 0:
         a[0] = 1.0  # the up ratio at j = 0 is never used, and a0 = 1 would divide by 0
@@ -558,28 +564,29 @@ def _cumfnc(
     adn = a0 + icent
     betdn = reg_inc_beta(xx, adn, b)
 
-    xmult = np.empty(c - first + 1)
-    xmult[0] = centwt
-    np.divide(j[c:first:-1], mu, out=xmult[1:])
-    np.multiply.accumulate(xmult, out=xmult)
-    beta = np.empty_like(xmult)
-    beta[0] = exp(lgamma(adn + b) - lgamma(adn + 1.0) - lgamma(b) + adn * log(xx) + b * log(yy))
-    beta[1:] = down[first:c][::-1]
-    np.multiply.accumulate(beta, out=beta)
-    beta[0] = betdn
-    np.add.accumulate(beta, out=beta)
-    terms = np.multiply(xmult, beta, out=xmult)
-    sums = np.add.accumulate(terms, out=beta)
-    if sums[0] < _CDFLIB_TINY:  # the sum never falls going down: terms are >= 0
-        k = 0
-    else:
+    total = centwt * betdn
+    # below the floor the loop takes no step down (the sum never falls
+    # going down: terms are >= 0)
+    if not total < _CDFLIB_TINY:
+        xmult = np.empty(c - first + 1)
+        xmult[0] = centwt
+        np.divide(j[c:first:-1], mu, out=xmult[1:])
+        np.multiply.accumulate(xmult, out=xmult)
+        beta = np.empty_like(xmult)
+        beta[0] = exp(lgamma(adn + b) - lgamma(adn + 1.0) - lgamma(b) + adn * log(xx) + b * log(yy))
+        beta[1:] = down[first:c][::-1]
+        np.multiply.accumulate(beta, out=beta)
+        beta[0] = betdn
+        np.add.accumulate(beta, out=beta)
+        terms = np.multiply(xmult, beta, out=xmult)
+        sums = np.add.accumulate(terms, out=beta)
         stop = terms < sums * _CDFLIB_EPS
         k = int(stop.argmax())
         if not stop[k]:
             if lo > 0:
                 return None
             k = c - first  # the loop ends at j = 0
-    total = float(sums[k])
+        total = float(sums[k])
 
     if last == c:
         return None

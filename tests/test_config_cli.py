@@ -8,14 +8,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cvrunrules
-from cvrunrules import cli
+from cvrunrules import cli, phase2
 from cvrunrules.cli import main
 from cvrunrules.config import parse_config
-from cvrunrules.design import SWEEP_COLUMNS
+from cvrunrules.design import SWEEP_COLUMNS, solve_design
 from cvrunrules.errors import ConfigError
+from cvrunrules.phase2 import monitor_values, read_phase2_csv
+from cvrunrules.runrules import Direction, RunRule
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 EXAMPLE_CONFIG = os.path.join(DATA_DIR, "example_config.json")
@@ -193,6 +196,90 @@ class TestCli:
             assert out == self.MONITOR_TABLE
         assert hashlib.sha256(out.encode()).hexdigest() == self.MONITOR_SHA256[fmt]
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_monitor_builds_no_states(self, fmt, capsys, monkeypatch):
+        # no output prints the automaton's states, so the command must not
+        # walk the history or gather its state tuples
+        def refuse(*args, **kwargs):
+            raise AssertionError("monitor built run-rule states")
+
+        monkeypatch.setattr(phase2, "history_path", refuse)
+        monkeypatch.setattr(phase2, "_state_table", refuse)
+        assert main(["monitor", "--config", EXAMPLE_CONFIG, EXAMPLE_DATA,
+                     "--shewhart", "--cdf", "cdflib", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MONITOR_SHA256[fmt]
+
+    def test_monitor_long_series(self, tmp_path, capsys):
+        # 15 000 subgroups whose CV rises by 40% at record 5 000 and falls to
+        # 70% of its in-control value at record 10 000; every chart's summary
+        # and flags against monitor_values and a brute-force trailing-window
+        # count
+        rng = np.random.default_rng(20240611)
+        records, mu, gamma = 15000, 50.0, 0.1
+        record = np.arange(1, records + 1)
+        sd = np.select([record > 10000, record > 5000], [0.7, 1.4], 1.0) * gamma * mu
+        xs = rng.normal(mu, sd[:, None], size=(records, 5))
+        data = tmp_path / "long.csv"
+        data.write_text("index,mean,std\n" + "".join(
+            f"{i},{m:.6f},{s:.6f}\n"
+            for i, (m, s) in enumerate(zip(xs.mean(axis=1).tolist(), xs.std(axis=1, ddof=1).tolist()), start=1)
+        ))
+        doc = base_config()
+        doc["rules"] = [
+            {"r": 2, "s": 3, "direction": "upper"},
+            {"r": 4, "s": 5, "direction": "lower"},
+            {"r": 3, "s": 4, "direction": "upper"},
+        ]
+        doc["arl0"] = 20000.0
+        path = write_config(tmp_path, doc)
+        cfg = parse_config(doc)
+        cv2 = read_phase2_csv(str(data)).cv2
+        values = cv2.tolist()
+        expected = {}
+        for rule in [*cfg.rules, RunRule(1, 1, Direction.UPPER), RunRule(1, 1, Direction.LOWER)]:
+            limit = solve_design(rule, cfg.process, cfg.measurement_error, cfg.arl0).limit
+            upper = rule.direction is Direction.UPPER
+            outside = [int(v > limit if upper else v < limit) for v in values]
+            first = start = None
+            for t in range(1, records + 1):
+                if sum(outside[max(0, t - rule.s) : t]) >= rule.r:
+                    first = start = t
+                    while start > 1 and outside[start - 2]:
+                        start -= 1
+                    break
+            trace = monitor_values(cv2, rule.r, rule.s, rule.direction, limit)
+            assert (trace.first_signal, trace.run_start) == (first, start)
+            assert list(map(int, trace.outside)) == outside
+            expected[f"{rule.r}-of-{rule.s}", rule.direction.value] = (limit, outside, first, start)
+        assert {v[2] for v in expected.values()} != {None}  # some chart signals
+
+        outputs = {}
+        for fmt in ("table", "csv", "json"):
+            assert main(["monitor", "--config", path, str(data), "--shewhart", "--format", fmt]) == 0
+            outputs[fmt] = capsys.readouterr().out
+        lines = outputs["table"].splitlines()
+        assert lines[0].split() == list(cli._MONITOR_SUMMARY_COLUMNS)
+        starts = [lines[0].index(name) for name in cli._MONITOR_SUMMARY_COLUMNS] + [None]
+        table = {}
+        for line in lines[1:]:
+            rule, direction, limit, first, start = (line[a:b].strip() for a, b in zip(starts, starts[1:]))
+            table[rule, direction] = (limit, first, start)
+        assert table == {
+            chart: (f"{limit:.6g}", "" if first is None else str(first), "" if start is None else str(start))
+            for chart, (limit, _, first, start) in expected.items()
+        }
+        per_sample = {
+            "csv": list(csv.DictReader(io.StringIO(outputs["csv"]))),
+            "json": json.loads(outputs["json"]),
+        }
+        for fmt, rows in per_sample.items():
+            assert len(rows) == records * len(expected)
+            for chart, (limit, outside, _, _) in expected.items():
+                chart_rows = [row for row in rows if (row["rule"], row["direction"]) == chart]
+                assert [int(row["outside"]) for row in chart_rows] == outside, (fmt, chart)
+                assert {float(row["limit"]) for row in chart_rows} == {limit}
+
     def test_monitor_shewhart_order_independent_of_hash_seed(self, tmp_path):
         # Under a set of directions, hash seeds 0 and 2 put the two 1-of-1
         # rows in opposite orders; they must follow the rules' order.
@@ -343,6 +430,11 @@ class TestCli:
     def test_density_nonpositive_points_usage_error(self, points, capsys):
         assert main(["density", "--gamma0", "0.1", "--points", points]) == 2
         assert "error [usage]: --points must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_max", ["inf", "-inf", "nan", "0", "-1", "-0.0"])
+    def test_density_x_max_must_be_positive_and_finite(self, x_max, capsys):
+        assert main(["density", "--gamma0", "0.1", f"--x-max={x_max}", "--points", "3"]) == 2
+        assert "error [usage]: --x-max must be positive and finite" in capsys.readouterr().err
 
     def test_directory_paths_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from cvrunrules import specfun
@@ -636,6 +636,10 @@ class TestBatchedKernel:
         lam=_LAMBDAS,
         scale=hs.one_of(hs.floats(0.0, 3.0), hs.floats(1e-9, 1e-3)),
     )
+    # x = 1e-320 exactly: a subnormal u, where the down ratios overflow
+    # and the loop, its first term below 1e-20, never forms them
+    @example(df2=0.5, lam=10.0, scale=1e-320 / 11.0)
+    @example(df2=3.0, lam=10.0, scale=1e-320 / 11.0)
     def test_property_cdflib_is_the_legacy_loop(self, df2, lam, scale):
         # every recurrence of the loop is one sequential accumulate over the
         # same operands, so the totals agree bit for bit, not just to 1e-13
