@@ -116,12 +116,11 @@ def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str
     return 1.0 - kernel(n / x, _f_params(n, gamma))
 
 
-def _cv2_cdf_levels(
-    x: float, n: int, gammas: Sequence[float], *, force: bool = False, profile: str = "exact"
-) -> list[float]:
-    """``cv2_cdf`` at one x for each CV level in ``gammas``, in order, from
-    one call of the batched kernel ``specfun._f_cdf_levels``."""
-    _check_levels(n, gammas, force, profile)
+def _cv2_cdf_levels(x: float, n: int, gammas: Sequence[float], *, profile: str = "exact") -> list[float]:
+    """``cv2_cdf`` with ``force=True`` at one x for each CV level in
+    ``gammas``, in order, from one call of the batched kernel
+    ``specfun._f_cdf_levels``."""
+    _check_levels(n, gammas, True, profile)
     if x <= 0.0:
         return [0.0] * len(gammas)
     lams = [n / (gamma * gamma) for gamma in gammas]
@@ -129,8 +128,10 @@ def _cv2_cdf_levels(
 
 
 def _cv2_cdf_pdf(x: float, n: int, gamma: float) -> tuple[float, float]:
-    """``cv2_cdf`` and ``cv2_pdf`` at x > 0 for a checked level, from one
-    kernel pass (``specfun._f_cdf_pdf``)."""
+    """``cv2_cdf`` and ``cv2_pdf`` at x for a checked level, from one
+    kernel pass (``specfun._f_cdf_pdf``); (0, 0) for x <= 0."""
+    if x <= 0.0:
+        return 0.0, 0.0
     cdf, yf = specfun._f_cdf_pdf(n / x, _f_params(n, gamma))
     return 1.0 - cdf, yf / x
 

@@ -88,6 +88,9 @@ class ChartDesign:
     moments: Cv2Moments
 
     def __post_init__(self) -> None:
+        # numpy scalars would overflow the CV^2 law's n / limit with a RuntimeWarning
+        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "limit", float(self.limit))
         if not (math.isfinite(self.k) and math.isfinite(self.limit)):
             raise DomainError(f"k and limit must be finite, got k={self.k}, limit={self.limit}")
         expected = _limit_for(self.k, self.rule.direction, self.moments)
@@ -265,11 +268,9 @@ def solve_design(
 
     def exact(k: float) -> tuple[float, float]:
         # dp/dk = std * pdf(limit) in both directions, from the CDF's own pass
-        limit = _limit_for(k, rule.direction, moments)
-        if lower and limit <= 0.0:
-            return excess(k, 1.0), 0.0  # the statistic is nonnegative
-        cdf, pdf = cvdist._cv2_cdf_pdf(limit, pm.n, gamma_in)
-        p = min(1.0 - cdf if lower else cdf, _P_TOP)
+        cdf, pdf = cvdist._cv2_cdf_pdf(_limit_for(k, rule.direction, moments), pm.n, gamma_in)
+        (p,) = runrules._inside(rule.direction, [cdf])
+        p = min(p, _P_TOP)
         return excess(k, p), moments.std * pdf / (p * (1.0 - p))
 
     def by_profile(k: float) -> tuple[float, None]:
@@ -315,7 +316,7 @@ def arl_at_shift(
     shift = shift if shift is not None else ShiftSpec.in_control(pm.gamma0)
     gammas = [merror.observed_cv_shifted(pm.gamma0, shift, me)]
     # a shifted CV may lie past the validity window
-    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, force=True, profile=profile)
+    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, profile=profile)
     (metrics,) = runrules.run_length_metrics(design.rule, probs)
     return metrics
 
@@ -418,7 +419,7 @@ def earl(
     for tau in (taus[0], taus[-1]):
         merror.observed_cv_shifted(pm.gamma0, ShiftSpec.from_tau(tau, pm.gamma0, b), me)
     gammas = merror._observed_cv(pm.gamma0, taus, b, me).tolist()
-    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, force=True, profile=profile)
+    probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, profile=profile)
     arls = runrules._arls(design.rule, probs)
     total = 0.0
     for wi, mean_rl in zip(w, arls):

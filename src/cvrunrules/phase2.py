@@ -23,7 +23,6 @@ the flags, the first signal and the run start) and builds no trace.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import operator
 from collections.abc import Sequence as SequenceABC
@@ -201,17 +200,6 @@ class MonitorTrace:
     run_start: Optional[int]
 
 
-@functools.lru_cache
-def _state_table(r: int, s: int) -> np.ndarray:
-    """The automaton's interned state tuples as an object array, for
-    gathering them by state index."""
-    states = rule_automaton(r, s).states
-    table = np.empty(len(states), dtype=object)
-    for i, state in enumerate(states):
-        table[i] = state
-    return _frozen(table)
-
-
 def _chart_signal(
     values: Sequence[float], rule: RunRule, limit: float
 ) -> tuple[np.ndarray, Optional[int], Optional[int]]:
@@ -249,16 +237,17 @@ def monitor_values(
     outside, first_signal, run_start = _chart_signal(values, rule, limit)
     # the history after each sample, frozen at the signal
     before = outside.size if first_signal is None else first_signal - 1
+    automaton = rule_automaton(rule.r, rule.s)
     path = np.empty(outside.size, dtype=np.int64)
     path[:before] = history_path(rule.r, rule.s, outside[:before])
-    path[before:] = path[before - 1] if before else rule_automaton(rule.r, rule.s).initial_index
+    path[before:] = path[before - 1] if before else automaton.initial_index
     return MonitorTrace(
         rule_r=rule.r,
         rule_s=rule.s,
         direction=rule.direction,
         limit=limit,
         outside=tuple(outside.tolist()),
-        states=tuple(_state_table(rule.r, rule.s)[path].tolist()),
+        states=tuple(automaton.states[i] for i in path.tolist()),
         first_signal=first_signal,
         run_start=run_start,
     )

@@ -15,6 +15,13 @@ States are ordered by descending history value (oldest point most
 significant), which puts the all-inside history last; the initial
 distribution is the unit mass on that state.
 
+A chart gives the chain one number, its inside probability p: the CV²
+law's CDF at the chart's limit (upper chart), or 1 minus it (lower
+chart).  The law (``cvdist``) owns the edges, 0 at a limit <= 0 and 1
+at +inf, and checks n and gamma at every limit; ``_inside`` only maps
+the side, for ``in_control_prob``, its batched form and the design's
+Newton step.
+
 Many histories have the same future: 8-of-10 has 502 states but only
 120 classes, 10-of-10 has 512 and 10.  ``rule_automaton`` also holds the
 coarsest partition under which equivalent states absorb on the same input
@@ -63,7 +70,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -264,35 +271,29 @@ def in_control_prob(
     profile: str = "exact",
 ) -> float:
     """Probability that a plotted squared sample CV falls inside the
-    control region of a one-sided chart with the given limit."""
-    (p,) = _inside(direction, limit, 1, lambda x: [cv2_cdf(x, n, gamma, force=force, profile=profile)])
+    control region of a one-sided chart with the given limit.
+
+    ``cv2_cdf`` at the limit, or 1 minus it for a lower chart; that law
+    owns the edges (0 at a limit <= 0, 1 at +inf) and checks n and gamma
+    at every limit."""
+    (p,) = _inside(direction, [cv2_cdf(limit, n, gamma, force=force, profile=profile)])
     return p
 
 
 def _in_control_probs(
-    direction: Direction,
-    limit: float,
-    n: int,
-    gammas: Sequence[float],
-    *,
-    force: bool = False,
-    profile: str = "exact",
+    direction: Direction, limit: float, n: int, gammas: Sequence[float], *, profile: str = "exact"
 ) -> list[float]:
-    """``in_control_prob`` at each CV level of ``gammas``, from one batched
-    CDF call (``cvdist._cv2_cdf_levels``)."""
-    return _inside(direction, limit, len(gammas), lambda x: _cv2_cdf_levels(x, n, gammas, force=force, profile=profile))
+    """``in_control_prob`` with ``force=True`` at each CV level of
+    ``gammas``, from one batched CDF call (``cvdist._cv2_cdf_levels``)."""
+    return _inside(direction, _cv2_cdf_levels(limit, n, gammas, profile=profile))
 
 
-def _inside(direction: Direction, limit: float, count: int, cdf: Callable[[float], list[float]]) -> list[float]:
-    # The control region of each direction, given the CDFs at the limit.
-    direction = Direction(direction)
-    if direction is Direction.LOWER:
-        if limit <= 0.0:
-            return [1.0] * count  # the statistic is nonnegative
-        return [1.0 - c for c in cdf(limit)]
-    if math.isinf(limit) and limit > 0:
-        return [1.0] * count
-    return cdf(limit)
+def _inside(direction: Direction, cdfs: list[float]) -> list[float]:
+    """The inside probabilities of a chart of the given direction, from
+    the CDFs of the plotted statistic at its limit."""
+    if Direction(direction) is Direction.LOWER:
+        return [1.0 - c for c in cdfs]
+    return cdfs
 
 
 @dataclass(frozen=True)

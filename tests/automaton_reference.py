@@ -1,10 +1,13 @@
 """The r-of-s automaton built state by state: the tests' reference for
 ``runrules.rule_automaton``, which builds its tables and its partition from
-arrays instead."""
+arrays instead.  Also the full history chain as a dense matrix, the
+reference for the lumped chain that ``runrules.run_length_metrics`` solves."""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from cvrunrules.runrules import RuleAutomaton
+from cvrunrules.runrules import RuleAutomaton, rule_automaton
 
 
 def _partition(t_in: np.ndarray, t_out: np.ndarray) -> np.ndarray:
@@ -46,4 +49,32 @@ def reference_automaton(r: int, s: int) -> RuleAutomaton:
         initial_index=len(values) - 1,
         block=block,
         representatives=representatives,
+    )
+
+
+class DenseChain(NamedTuple):
+    """The transient part of the full history chain at one p."""
+
+    states: tuple[tuple[int, ...], ...]
+    transition: np.ndarray  # transient-to-transient probabilities
+    absorption: np.ndarray  # per-state probability of signaling on the next point
+    initial_index: int
+
+
+def reference_chain(r: int, s: int, p: float) -> DenseChain:
+    """The r-of-s history chain at inside probability p, from the next-state
+    tables of ``rule_automaton``: an inside point moves a state along t_in
+    with mass p, an outside point along t_out with mass 1 - p, and where
+    t_out absorbs that mass is the state's absorption."""
+    automaton = rule_automaton(r, s)
+    rows = np.arange(len(automaton.states))
+    stays = automaton.t_out >= 0
+    transition = np.zeros((rows.size, rows.size))
+    transition[rows, automaton.t_in] = p
+    transition[rows[stays], automaton.t_out[stays]] = 1.0 - p
+    return DenseChain(
+        states=automaton.states,
+        transition=transition,
+        absorption=np.where(stays, 0.0, 1.0 - p),
+        initial_index=automaton.initial_index,
     )

@@ -35,8 +35,9 @@ from cvrunrules.design import (
 from cvrunrules.mcsim import SimConfig, estimate_run_length
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec, observed_cv_incontrol
 from cvrunrules.phase2 import monitor_values
-from cvrunrules.runrules import Direction, RunRule, build_chain, run_length_metrics
+from cvrunrules.runrules import Direction, RunRule, run_length_metrics
 
+from automaton_reference import reference_chain
 from conftest import c7_cells, record_criterion
 from tables import (
     B_TABLE,
@@ -415,8 +416,7 @@ def test_c8_property_suite():
     # chain rows are stochastic for p in {0, 0.1, ..., 1}
     for (r, s) in RULES:
         for p in np.arange(0.0, 1.0001, 0.1):
-            with pytest.deprecated_call():
-                chain = build_chain(RunRule(r, s, Direction.UPPER), float(p))
+            chain = reference_chain(r, s, float(p))
             total = chain.transition.sum(axis=1) + chain.absorption
             assert np.allclose(total, 1.0, atol=1e-14)
     # deterministic signal at the r-th sample when every point violates

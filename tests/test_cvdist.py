@@ -130,6 +130,16 @@ class TestCv2Cdf:
         assert cv2_cdf(0.0, 5, 0.1) == 0.0
         assert cv2_cdf(-1.0, 5, 0.1) == 0.0
         assert cv2_cdf(1e9, 5, 0.1) == pytest.approx(1.0, abs=1e-10)
+        for profile in ("exact", "cdflib"):
+            assert cv2_cdf(math.inf, 5, 0.1, profile=profile) == 1.0
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf])
+    def test_cdf_pdf_pass_at_nonpositive_x(self, x):
+        # the design's Newton step reads p and its slope there, at a lower
+        # limit mean - k*std that has crossed 0
+        from cvrunrules.cvdist import _cv2_cdf_pdf
+
+        assert _cv2_cdf_pdf(x, 5, 0.1) == (0.0, 0.0)
 
     def test_frozen_value(self):
         # mpmath mixture oracle (50 digits)

@@ -707,7 +707,7 @@ class TestEarl:
         x, _ = _gauss_legendre(64)
         half, mid = 0.5 * (shift_range.hi - shift_range.lo), 0.5 * (shift_range.hi + shift_range.lo)
         gammas = [merror.observed_cv_shifted(gamma0, ShiftSpec.from_tau(half * xi + mid, gamma0), me) for xi in x]
-        batch = runrules._in_control_probs(d.rule.direction, d.limit, n, gammas, force=True, profile=profile)
+        batch = runrules._in_control_probs(d.rule.direction, d.limit, n, gammas, profile=profile)
         one = [runrules.in_control_prob(d.rule.direction, d.limit, n, g, force=True, profile=profile) for g in gammas]
         assert np.max(np.abs(np.subtract(batch, one))) <= 1e-13
 
@@ -961,6 +961,24 @@ class TestTypedFailures:
             except CvRunRulesError:
                 return
         assert rs[0] <= metrics.arl < math.inf and 0.0 <= metrics.sdrl < math.inf
+
+    def test_numpy_scalar_limit(self):
+        # the chart stores k and the limit as floats, so n / limit overflows
+        # to inf quietly for a numpy-scalar limit too, and p is 0 at every shift
+        from cvrunrules.cvdist import cv2_moments
+        from cvrunrules.design import ChartDesign
+
+        pm = ProcessModel(0.1, 5)
+        charts = [
+            ChartDesign.from_limit(rule(2, 3, "upper"), wrap(1e-320), cv2_moments(pm), DEFAULT_ARL0)
+            for wrap in (np.float64, float)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            answers = [(arl_at_shift(d, pm).arl, earl(d, pm, None, INCREASING_SHIFTS)) for d in charts]
+        assert all(type(d.k) is float and type(d.limit) is float for d in charts)
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 2.0 and answers[0][1] == pytest.approx(2.0, rel=1e-15)
 
 
 class TestSweep:

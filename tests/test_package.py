@@ -29,3 +29,23 @@ def test_version_matches_pyproject():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == cvrunrules.__version__
+
+
+def test_tracer_names_exist():
+    # perfbench/layertrace.py refuses to install when a name it reports on
+    # is gone; this fails the suite first, without installing the tracer
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.REQUIRED
+    for name in layertrace.REQUIRED:
+        layer, attr = name.split(".")
+        assert layer in layertrace.LAYERS, name
+        module = importlib.import_module(f"cvrunrules.{layer}")
+        obj = getattr(module, attr, None)
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, name

@@ -12,7 +12,7 @@ import cvrunrules
 from cvrunrules import runrules
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import arl_at_shift, solve_design
-from cvrunrules.errors import ChainSingularError, DomainError
+from cvrunrules.errors import ChainSingularError, DomainError, GammaDomainError
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec, observed_cv_shifted
 from cvrunrules.runrules import (
     Direction,
@@ -28,18 +28,14 @@ from cvrunrules.runrules import (
     run_length_metrics,
 )
 
+from automaton_reference import reference_chain
+
 RULES = [(2, 3), (3, 4), (4, 5)]
 ALL_RULES = [(r, s) for s in range(1, 11) for r in range(1, s + 1)]
 
 
 def chain_arl(r, s, p):
     return run_length_metrics(RunRule(r, s, Direction.UPPER), [p])[0].arl
-
-
-def dense_chain(rule, p):
-    """The full history chain of the deprecated ``build_chain``."""
-    with pytest.deprecated_call():
-        return build_chain(rule, p)
 
 
 def _mp_lumped_metrics(r, s, p, dps=80):
@@ -110,7 +106,7 @@ def _run_automaton(r):
 class TestChainStructure:
     @pytest.mark.parametrize("r,s,count", [(2, 3, 3), (3, 4, 7), (4, 5, 15), (1, 1, 1)])
     def test_state_counts(self, r, s, count):
-        chain = dense_chain(RunRule(r, s, Direction.UPPER), 0.5)
+        chain = reference_chain(r, s, 0.5)
         assert len(chain.states) == count
         assert chain.initial_index == count - 1
         assert chain.states[-1] == (0,) * (s - 1)
@@ -118,7 +114,7 @@ class TestChainStructure:
     @pytest.mark.parametrize("p", np.arange(0.0, 1.0001, 0.1))
     @pytest.mark.parametrize("r,s", RULES)
     def test_row_stochasticity(self, r, s, p):
-        chain = dense_chain(RunRule(r, s, Direction.LOWER), float(p))
+        chain = reference_chain(r, s, float(p))
         totals = chain.transition.sum(axis=1) + chain.absorption
         assert np.allclose(totals, 1.0, atol=1e-14)
         assert (chain.transition >= -1e-15).all()
@@ -126,7 +122,7 @@ class TestChainStructure:
     def test_published_2of3_matrix(self):
         # reference transient matrix, states ordered (1,0), (0,1), (0,0)
         p = 0.37
-        chain = dense_chain(RunRule(2, 3, Direction.UPPER), p)
+        chain = reference_chain(2, 3, p)
         expected = np.array([
             [0.0, 0.0, p],
             [p, 0.0, 0.0],
@@ -137,7 +133,7 @@ class TestChainStructure:
 
     def test_published_3of4_matrix(self):
         p = 0.61
-        chain = dense_chain(RunRule(3, 4, Direction.UPPER), p)
+        chain = reference_chain(3, 4, p)
         q = 1 - p
         expected = np.array([
             [0, 0, p, 0, 0, 0, 0],
@@ -155,8 +151,8 @@ class TestChainStructure:
             RunRule(3, 2, Direction.UPPER)
         with pytest.raises(DomainError):
             RunRule(0, 2, Direction.UPPER)
-        with pytest.raises(DomainError):
-            dense_chain(RunRule(2, 3, Direction.UPPER), 1.2)
+        with pytest.raises(DomainError), pytest.deprecated_call():
+            build_chain(RunRule(2, 3, Direction.UPPER), 1.2)
         with pytest.raises(DomainError):
             RunRule(True, 1, Direction.UPPER)
         with pytest.raises(DomainError):
@@ -191,7 +187,8 @@ class TestArl:
 
     def test_deprecated_arl_is_run_length_metrics(self):
         rule = RunRule(3, 4, Direction.UPPER)
-        chain = dense_chain(rule, 0.9)
+        with pytest.deprecated_call():
+            chain = build_chain(rule, 0.9)
         with pytest.deprecated_call():
             metrics = arl(chain)
         assert metrics == run_length_metrics(rule, [0.9])[0]
@@ -239,7 +236,7 @@ class TestArl:
         # relabeling transient states must not change ARL/SDRL
         rng = np.random.default_rng(101)
         rule = RunRule(r, s, Direction.UPPER)
-        chain = dense_chain(rule, 0.83)
+        chain = reference_chain(r, s, 0.83)
         (base,) = run_length_metrics(rule, [0.83])
         m = chain.transition.shape[0]
         for _ in range(5):
@@ -357,7 +354,7 @@ class TestHistoryPath:
 class TestLumping:
     """``run_length_metrics`` solves on the automaton's quotient; these pin
     that quotient and compare it with a dense solve on the full history
-    chain of the deprecated ``build_chain``."""
+    chain (``automaton_reference.reference_chain``)."""
 
     P_GRID = (0.0, 0.37, 0.5, 0.9, 0.95, 0.99, 0.9973, 0.999)
 
@@ -400,7 +397,7 @@ class TestLumping:
         # working precision), so only cells with ARL <= 1e6 are compared.
         compared = 0
         for p in self.P_GRID:
-            chain = dense_chain(RunRule(r, s, Direction.UPPER), p)
+            chain = reference_chain(r, s, p)
             m = chain.transition.shape[0]
             a_matrix = np.eye(m) - chain.transition
             try:
@@ -413,7 +410,7 @@ class TestLumping:
             if not 1.0 <= full_arl <= 1e6:
                 continue
             full_sdrl = math.sqrt(max(2.0 * z[chain.initial_index] - full_arl**2 + full_arl, 0.0))
-            (metrics,) = run_length_metrics(chain.rule, [p])
+            (metrics,) = run_length_metrics(RunRule(r, s, Direction.UPPER), [p])
             assert metrics.arl == pytest.approx(full_arl, rel=1e-10)
             assert metrics.sdrl == pytest.approx(full_sdrl, rel=1e-10, abs=1e-9)
             compared += 1
@@ -491,6 +488,41 @@ class TestInControlProb:
 
     def test_upper_limit_infinite(self):
         assert in_control_prob(Direction.UPPER, math.inf, 5, 0.1) == 1.0
+
+    # the inside probability at each edge limit: the squared CV is
+    # nonnegative and finite, so an upper chart's p is 0 up to a limit of 0
+    # and 1 at +inf, and a lower chart's the complement
+    EDGES = {-1.0: 0.0, 0.0: 0.0, math.inf: 1.0}
+
+    @pytest.mark.parametrize("profile", ["exact", "cdflib"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("limit", list(EDGES))
+    def test_edge_limits(self, limit, direction, profile):
+        cdf = self.EDGES[limit]
+        expected = 1.0 - cdf if direction is Direction.LOWER else cdf
+        assert in_control_prob(direction, limit, 5, 0.1, profile=profile) == expected
+        assert in_control_prob(direction, limit, 5, 0.7, force=True, profile=profile) == expected
+        assert runrules._in_control_probs(direction, limit, 5, [0.1, 0.7], profile=profile) == [expected] * 2
+
+    @pytest.mark.parametrize("profile", ["exact", "cdflib"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_nan_limit_refused(self, direction, profile):
+        with pytest.raises(DomainError, match="NaN"):
+            in_control_prob(direction, math.nan, 5, 0.1, profile=profile)
+        with pytest.raises(DomainError, match="NaN"):
+            runrules._in_control_probs(direction, math.nan, 5, [0.1, 0.7], profile=profile)
+
+    @pytest.mark.parametrize("limit", [-1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_edge_limits_check_n_and_gamma(self, direction, limit):
+        # the CV^2 law's own checks hold at every limit, edges included
+        for n, gamma, error in [(1, 0.1, DomainError), (5, 0.0, GammaDomainError), (5, math.nan, GammaDomainError)]:
+            with pytest.raises(error):
+                in_control_prob(direction, limit, n, gamma)
+            with pytest.raises(error):
+                runrules._in_control_probs(direction, limit, n, [0.1, gamma])
+        with pytest.raises(GammaDomainError):
+            in_control_prob(direction, limit, 5, 0.7)  # outside the window, not forced
 
     def test_upper_matches_cdf(self):
         from cvrunrules.cvdist import cv2_cdf
