@@ -314,7 +314,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EvaluationError, ChainSingularError, GammaDomainError) as exc:
         print(f"error [numeric]: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DomainError, FileNotFoundError, IsADirectoryError) as exc:
+    # an undecodable byte or a field past csv's size limit in a data file
+    # is the reader's own error, raised as is
+    except (ConfigError, DomainError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error [usage]: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CvRunRulesError as exc:

@@ -127,6 +127,6 @@ def load_config(path: str) -> ChartConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(doc)

@@ -4,8 +4,14 @@ Input records carry the subgroup index, observed sample mean and sample
 standard deviation; the plotted statistic (squared sample CV) is always
 recomputed from mean and std rather than trusted from the file.
 
-A recorded series is held as columns (``PhaseIISeries``): one pass of the
-CSV reader fills them, and the domain checks run on whole arrays.  A chart
+A recorded series is held as columns (``PhaseIISeries``), and the domain
+checks run on whole arrays.  ``read_phase2_csv`` fills them by one
+``np.loadtxt`` call when ``csv`` would split the file plainly at commas
+and line ends (it decodes, and holds no quote, no NUL, no lone carriage
+return and no line past ``csv.field_size_limit()``) and every record
+converts and passes the checks.  Any other file, and any error or warning
+from numpy, goes to the ``csv`` row loop from the start of the file; the
+loop alone decides which records and which error such a file gets.  A chart
 flags every sample with one comparison against its limit and signals at
 the first sample whose trailing window of s points holds at least r
 violations, counted as differences of a cumulative sum; a NaN value is
@@ -25,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import warnings
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -121,6 +128,21 @@ class PhaseIISeries(SequenceABC):
             yield PhaseIIRecord(*fields)
 
 
+_COLUMNS = ("index", "mean", "std")
+_PLAIN_DTYPE = np.dtype([("index", np.int64), ("mean", float), ("std", float)])
+
+
+def _positions(header: Sequence[str]) -> Optional[tuple[int, ...]]:
+    """The header's positions of index, mean and std, None if one is missing.
+
+    A repeated name reads its last column, as in ``csv.DictReader``.
+    """
+    position = {name: col for col, name in enumerate(header)}
+    if not position.keys() >= set(_COLUMNS):
+        return None
+    return tuple(position[name] for name in _COLUMNS)
+
+
 def read_phase2_csv(path: str) -> PhaseIISeries:
     """Read records from a CSV with header ``index,mean,std``.
 
@@ -128,6 +150,65 @@ def read_phase2_csv(path: str) -> PhaseIISeries:
     reported with their line number, counted as ``csv.DictReader`` counts
     rows: the header is line 1 and blank rows are skipped.
     """
+    series = _read_plain(path)
+    return series if series is not None else _read_rows(path)
+
+
+def _plain_columns(text: str) -> Optional[tuple[int, ...]]:
+    """The positions of index, mean and std when ``csv`` would split
+    ``text`` at every comma and line end and the header names all three,
+    else None.
+
+    That holds for a text with no quote (a quoted field may hold commas
+    and line ends), no NUL (a ``csv.Error`` before Python 3.11), no
+    carriage return outside a CRLF, and no line longer than
+    ``csv.field_size_limit()`` (a field past it is a ``csv.Error``).
+    """
+    if '"' in text or "\0" in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    # UTF-8 takes at least one byte a character, so the byte gaps between
+    # line feeds bound each line's length from above
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    if np.diff(breaks, prepend=-1, append=raw.size).max() - 1 > csv.field_size_limit():
+        return None
+    end = text.find("\n")
+    return _positions((text if end < 0 else text[:end]).removesuffix("\r").split(","))
+
+
+def _read_plain(path: str) -> Optional[PhaseIISeries]:
+    """The series by ``np.loadtxt`` for a file that ``csv`` splits plainly
+    and whose every record converts and passes the domain checks; None
+    sends the file to the row loop, which alone words each error."""
+    with open(path, newline="") as fh:
+        try:
+            columns = _plain_columns(fh.read())
+        except UnicodeDecodeError:
+            return None
+        if columns is None:
+            return None
+        # loadtxt reads the lines from the file again, so the text and a
+        # list of its lines are never held together
+        fh.seek(0)
+        try:
+            # numpy's "input contained no data" is a UserWarning, and an
+            # older numpy warns where it reads "1.0" as an integer
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, dtype=_PLAIN_DTYPE, delimiter=",", comments=None, skiprows=1, usecols=columns, ndmin=1
+                )
+        except (ValueError, Warning):
+            return None
+    try:
+        return PhaseIISeries(table["index"], table["mean"], table["std"])
+    except DomainError:
+        return None
+
+
+def _read_rows(path: str) -> PhaseIISeries:
+    """``read_phase2_csv`` one ``csv`` row at a time: the reader of every
+    file that ``_read_plain`` refuses, and the owner of the error texts."""
     indices: list[int] = []
     means: list[float] = []
     stds: list[float] = []
@@ -136,12 +217,9 @@ def read_phase2_csv(path: str) -> PhaseIISeries:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        required = {"index", "mean", "std"}
-        if header is None or not required.issubset(header):
-            raise ConfigError(f"{path}: header must contain columns {sorted(required)}")
-        # a repeated name reads its last column, as in DictReader
-        position = {name: col for col, name in enumerate(header)}
-        columns = (position["index"], position["mean"], position["std"])
+        columns = None if header is None else _positions(header)
+        if columns is None:
+            raise ConfigError(f"{path}: header must contain columns {sorted(_COLUMNS)}")
         i_col, m_col, s_col = columns
         add_index, add_mean, add_std = indices.append, means.append, stds.append
         try:

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import locale
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +16,7 @@ import pytest
 import cvrunrules
 from cvrunrules import cli, phase2
 from cvrunrules.cli import main
-from cvrunrules.config import parse_config
+from cvrunrules.config import load_config, parse_config
 from cvrunrules.design import SWEEP_COLUMNS, solve_design
 from cvrunrules.errors import ConfigError
 from cvrunrules.phase2 import monitor_values, read_phase2_csv
@@ -34,6 +36,15 @@ def base_config():
     }
 
 
+def _skip_if_locale_decodes_every_byte():
+    encoding = locale.getpreferredencoding(False)
+    try:
+        b"\xff".decode(encoding)
+    except UnicodeDecodeError:
+        return
+    pytest.skip(f"{encoding} decodes every byte")
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -46,6 +57,14 @@ class TestConfigSchema:
         assert cfg.process.gamma0 == 0.1
         assert cfg.rules[0].r == 2
         assert cfg.arl0 == 370.4
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path):
+        _skip_if_locale_decodes_every_byte()
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"process": "\xff"}')
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid JSON")):
+            load_config(str(path))
+        assert main(["design", "--config", str(path)]) == 2
 
     def test_unknown_top_level_key(self):
         doc = base_config()
@@ -442,6 +461,20 @@ class TestCli:
         assert main(["design", "--config", path, "--output", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all(line.startswith("error [usage]: ") for line in err)
+
+    def test_undecodable_data_file_usage_error(self, tmp_path, capsys):
+        _skip_if_locale_decodes_every_byte()
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"note,index,mean,std\n\xff,1,2.0,1.0\n")
+        assert main(["monitor", "--config", EXAMPLE_CONFIG, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error [usage]: ")
+
+    def test_field_past_csv_limit_usage_error(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        path = tmp_path / "data.csv"
+        path.write_text("note,index,mean,std\n" + "x" * (limit + 1) + ",1,2.0,1.0\n")
+        assert main(["monitor", "--config", EXAMPLE_CONFIG, str(path)]) == 2
+        assert capsys.readouterr().err == f"error [usage]: field larger than field limit ({limit})\n"
 
 
 # Each command's declared columns, and a small run of it.

@@ -4,11 +4,15 @@ import csv
 import locale
 import math
 import os
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from cvrunrules import phase2
 from cvrunrules.cvdist import ProcessModel
 from cvrunrules.design import solve_design
 from cvrunrules.errors import ConfigError, DomainError
@@ -49,6 +53,59 @@ def outcome(reader, path):
         return list(reader(path))
     except (ConfigError, csv.Error, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
+
+
+# Fields the fast reader must read as ``int``/``float`` do, or leave to the
+# row loop.  Each column draws from its own plain fields (signs, exponents,
+# padding, form feed); a tricky file also draws from ``_TRICKY_FIELDS``:
+# NaN and infinities, zero means, floats as indices, underscores, a Unicode
+# digit, indices past int64, quotes (one field may open a quote that a
+# later line closes), NUL, an undecodable byte and a field past csv's size
+# limit.
+_PLAIN_FIELDS = {
+    "index": ("1", "+3", "007", " 4", "4 ", "\x0c5", "-2", "12"),
+    "mean": ("1", "+3", "1.5", ".5", "5.", "1e3", "2E-2", " 4", "4 ", "\x0c5", "-0.25", "-2"),
+    "std": ("0", "1", "1.5", ".5", "5.", "1e3", "2E-2", " 4", "\x0c5", "-0"),
+    "note": ("a", "", " ", "1", "\u00b5"),
+}
+_TRICKY_FIELDS = (
+    "0", "-0", "nan", "-inf", "Infinity", "1e400", "1.0", "1_0", "\u0663", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "123456789012345678901234567890", '"7"', '"1,5"', '"a', 'b"',
+    "a\0", "\0", "", "abc", "1e", "\x0c", "\udcff", "x" * (csv.field_size_limit() + 1),
+)
+
+
+@hs.composite
+def phase2_files(draw):
+    """CSV bytes around the ``index,mean,std`` layout: reordered, extra,
+    repeated and missing columns; ragged, blank and whitespace-only rows;
+    LF, CRLF and lone-CR line ends; header-only and empty files."""
+    names = draw(hs.permutations(["index", "mean", "std"]))
+    for name in draw(hs.lists(hs.sampled_from(["note", "mean", "index", ""]), max_size=2)):
+        names.insert(draw(hs.integers(0, len(names))), name)
+    if draw(hs.integers(0, 9)) == 0:
+        del names[draw(hs.integers(0, len(names) - 1))]
+    lines = [",".join(names)] if draw(hs.integers(0, 19)) else []
+    tricky = draw(hs.integers(0, 2)) == 0
+    for _ in range(draw(hs.integers(0, 6))):
+        kind = draw(hs.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(hs.sampled_from(["", " ", "\t", "\x0c"])))
+            continue
+        fields = []
+        for name in names:
+            pool = _TRICKY_FIELDS if tricky and draw(hs.integers(0, 5)) == 0 else _PLAIN_FIELDS.get(name or "note")
+            fields.append(draw(hs.sampled_from(pool)))
+        if kind == 1:
+            fields = fields[:-1] if draw(hs.booleans()) else fields + ["1"]
+        lines.append(",".join(fields))
+    ends = [draw(hs.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(hs.booleans()):
+        ends = [ends[0]] * len(lines)  # one line end throughout
+    if ends and draw(hs.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.encode("utf-8", "surrogateescape")
 
 
 def brute_force_first_signal(values, r, s, limit, direction="upper"):
@@ -206,6 +263,46 @@ class TestColumnReader:
         expected = outcome(row_by_row_reader, str(path))
         assert expected[0] is (ConfigError if rows == 400 and bad_mean_row else UnicodeDecodeError)
         assert outcome(read_phase2_csv, str(path)) == expected
+
+    @settings(max_examples=400)
+    @given(content=phase2_files())
+    @example(content=b"note,index,mean,std\n" + b"x" * (csv.field_size_limit() + 1) + b",1,2.0,1.0\n")
+    @example(content=b"index,mean,std\r\n1,2.0,1.0\r\n\r\n2,3.0,0.5\r\n")
+    @example(content=b"note,index,mean,std\n\xff,1,2.0,1.0\n")
+    @example(content=b'index,mean,std,note\n1,2.0,1.0,"a\n2,3.0,0.5,b"\n')
+    def test_property_same_outcome_as_row_by_row(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "phase2_files.csv"
+        path.write_bytes(content)
+        assert outcome(read_phase2_csv, str(path)) == outcome(row_by_row_reader, str(path))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_plain_file_skips_the_row_loop(self, tmp_path, monkeypatch, newline):
+        # reordered and extra columns, padding, a blank line and CRLF are
+        # all plain; only what numpy or the guards refuse takes the loop
+        rows = ["note,std,index,mean"]
+        rows += [f" a,{r.sample_std},{r.index},{r.sample_mean}" for r in row_by_row_reader(EXAMPLE_DATA)]
+        path = tmp_path / "data.csv"
+        path.write_bytes((newline.join(rows) + newline * 2).encode())
+        expected = row_by_row_reader(str(path))
+        assert len(expected) == 20
+
+        def refuse(_path):
+            raise AssertionError("the row loop ran on a plain file")
+
+        monkeypatch.setattr(phase2, "_read_rows", refuse)
+        assert list(read_phase2_csv(str(path))) == expected
+        assert list(read_phase2_csv(EXAMPLE_DATA)) == row_by_row_reader(EXAMPLE_DATA)
+
+    @pytest.mark.parametrize("text", ["index,mean,std\n", "index,mean,std\n\n\r\n"])
+    def test_header_only_file_warns_nothing(self, tmp_path, text):
+        # np.loadtxt warns "input contained no data" here; the warning
+        # sends the file to the row loop and is not shown
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(read_phase2_csv(str(path))) == 0
+        assert caught == []
 
     def test_index_column_keeps_integers(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -99,7 +99,7 @@ def cumfnc_loop(x, p):
         xx = 1.0 - yy
     adn = 0.5 * p.df1 + icent
     b = 0.5 * p.df2
-    betdn = reg_inc_beta(xx, adn, b)
+    betdn = specfun._cdflib_inc_beta(xx, adn, b)
     aup = adn
     betup = betdn
     total = centwt * betdn
@@ -179,6 +179,15 @@ class TestRegIncBeta:
     def test_quadrature_oracle(self):
         # mpmath.quad of t^1.5 (1-t)^3 / B(2.5, 4) over [0, 0.3], 50 digits
         assert reg_inc_beta(0.3, 2.5, 4.0) == pytest.approx(0.35219758590676723646, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x,a,b,expected",
+        [(1e-17, 1.5, 1e17, 0.42759329552912019881), (1e-320, 1e-320, 1e300, 1.0)],
+    )
+    def test_large_shapes(self, x, a, b, expected):
+        # 40-digit mpmath betainc; lgamma(a + b) - lgamma(a) - lgamma(b)
+        # cancelled to 1.2e-26 and to inf at these points
+        assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=KERNEL_ATOL)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
