@@ -79,19 +79,20 @@ _SWEEP_OPTIONS = (
 
 def _subcommand(sub, name: str, run: Callable, help: str, *, needs_config: bool = True) -> argparse.ArgumentParser:
     """A subcommand parser with the options every command shares; ``run``
-    returns the command's (columns, rows)."""
+    returns the command's (columns, rows).  A command that reads a config
+    designs its charts, so it also takes the noncentral-F profile."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(run=run)
     if needs_config:
         p.add_argument("--config", required=True, help="chart configuration JSON")
+        p.add_argument(
+            "--cdf",
+            choices=_PROFILES,
+            default="exact",
+            help="noncentral-F evaluation profile; 'cdflib' matches legacy-library numerics",
+        )
     p.add_argument("--output", help="write results to this file instead of stdout")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument(
-        "--cdf",
-        choices=_PROFILES,
-        default="exact",
-        help="noncentral-F evaluation profile; 'cdflib' matches legacy-library numerics",
-    )
     return p
 
 

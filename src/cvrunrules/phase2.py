@@ -5,19 +5,23 @@ standard deviation; the plotted statistic (squared sample CV) is always
 recomputed from mean and std rather than trusted from the file.
 
 A recorded series is held as columns (``PhaseIISeries``), and the domain
-checks run on whole arrays.  ``read_phase2_csv`` fills them by one
-``np.loadtxt`` call when ``csv`` would split the file plainly at commas
-and line ends (it decodes, and holds no quote, no NUL, no lone carriage
-return and no line past ``csv.field_size_limit()``) and every record
-converts and passes the checks.  Any other file, and any error or warning
-from numpy, goes to the ``csv`` row loop from the start of the file; the
-loop alone decides which records and which error such a file gets.  A chart
-flags every sample with one comparison against its limit and signals at
-the first sample whose trailing window of s points holds at least r
-violations, counted as differences of a cumulative sum; a NaN value is
-rejected, never read as inside.  The report also carries the start of the
-consecutive violation run active at the signal, which is how such alarms
-are usually narrated.
+checks run on whole arrays; an int64 or float array costs one dtype
+check, and any other column is checked on the types of its values.
+``read_phase2_csv`` fills them by one ``np.loadtxt`` call when ``csv``
+would split the file plainly at commas and line ends (it decodes, and
+holds no quote, no NUL, no lone carriage return and no line past
+``csv.field_size_limit()``) and every record converts and passes the
+checks.  Any other file, and any error or warning from numpy, is read
+again from its start by ``csv.DictReader``, the format's own definition,
+one ``PhaseIIRecord`` per row.  The first row that fails raises its error,
+so that loop alone decides which records and which error such a file gets.
+
+A chart flags every sample with one comparison against its limit and
+signals at the first sample whose trailing window of s points holds at
+least r violations, counted as differences of a cumulative sum; a NaN
+value is rejected, never read as inside.  The report also carries the
+start of the consecutive violation run active at the signal, which is how
+such alarms are usually narrated.
 
 ``monitor`` and ``monitor_values`` return a full ``MonitorTrace``, which
 adds the run-rule history after each sample, one of the chain's own
@@ -29,7 +33,9 @@ the flags, the first signal and the run start) and builds no trace.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import numbers
 import operator
 import warnings
 from collections.abc import Sequence as SequenceABC
@@ -48,11 +54,32 @@ __all__ = ["PhaseIIRecord", "PhaseIISeries", "MonitorTrace", "read_phase2_csv", 
 
 @dataclass(frozen=True)
 class PhaseIIRecord:
+    """One recorded subgroup.  The index is stored as an ``int`` (any
+    integral type but bool is accepted) and the mean and std as floats
+    (any real type but bool); another type raises ``DomainError``."""
+
     index: int
     sample_mean: float
     sample_std: float
 
     def __post_init__(self) -> None:
+        # the reader's int and floats skip the type checks and conversions
+        if type(self.index) is not int:
+            if not _admits(numbers.Integral, type(self.index)):
+                raise DomainError(f"record index must be an integer, got {self.index!r}")
+            object.__setattr__(self, "index", int(self.index))
+        for field in ("sample_mean", "sample_std"):
+            value = getattr(self, field)
+            if type(value) is not float:
+                if not _admits(numbers.Real, type(value)):
+                    raise DomainError(
+                        f"{field.replace('_', ' ')} must be a real number, got {value!r} (record {self.index})"
+                    )
+                try:
+                    value = float(value)
+                except OverflowError:  # an int or fraction past the double range
+                    value = math.inf if value > 0 else -math.inf
+                object.__setattr__(self, field, value)
         if self.sample_mean == 0.0 or not math.isfinite(self.sample_mean):
             raise DomainError(f"sample mean must be finite and nonzero (record {self.index})")
         if not 0.0 <= self.sample_std < math.inf:
@@ -71,12 +98,38 @@ class PhaseIIRecord:
         return self.cv**2
 
 
-def _first_invalid(mean: np.ndarray, std: np.ndarray) -> Optional[int]:
-    """Position of the first subgroup ``PhaseIIRecord`` refuses, if any."""
-    bad = np.flatnonzero(
-        (mean == 0.0) | ~np.isfinite(mean) | ~((std >= 0.0) & (std < np.inf)) | ~(std / _SQUARE_MAX < np.abs(mean))
-    )
-    return int(bad[0]) if bad.size else None
+@functools.lru_cache
+def _admits(kind: type, cls: type) -> bool:
+    """Whether values of type ``cls`` are ``kind`` numbers; a bool never is."""
+    return issubclass(cls, kind) and not issubclass(cls, bool)
+
+
+def _column(values: Sequence, kind: type, dtype: type, name: str) -> np.ndarray:
+    """``values`` as a read-only one-dimensional array of ``dtype``.
+
+    An array of that dtype costs one check.  Anything else is checked type
+    by type: a value that is not a ``kind`` number raises ``DomainError``,
+    and so does a real past the double range.  An integer past int64 keeps
+    the column as Python ints.
+    """
+    column = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if column.ndim != 1:
+        raise DomainError(f"the {name} column must be one-dimensional, got shape {column.shape}")
+    if column.dtype == dtype:
+        return _frozen(column.copy())
+    items = column.tolist()
+    for cls in set(map(type, items)):
+        if not _admits(kind, cls):
+            row, value = next((row, value) for row, value in enumerate(items, start=1) if type(value) is cls)
+            raise DomainError(
+                f"the {name} column must hold {kind.__name__.lower()} numbers, got {value!r} in row {row}"
+            )
+    try:
+        return _frozen(np.array(items, dtype=dtype))
+    except OverflowError as exc:
+        if dtype is float:
+            raise DomainError(f"the {name} column holds a value past the double range") from exc
+        return _frozen(np.array([int(value) for value in items], dtype=object))
 
 
 def _frozen(column: np.ndarray) -> np.ndarray:
@@ -98,18 +151,17 @@ class PhaseIISeries(SequenceABC):
     __slots__ = ("index", "mean", "std", "cv2")
 
     def __init__(self, index: Sequence[int], mean: Sequence[float], std: Sequence[float]) -> None:
-        try:
-            index = np.array(index, dtype=np.int64)
-        except OverflowError:  # keep indices beyond int64 as Python ints
-            index = np.array(index, dtype=object)
-        self.index = _frozen(index)
-        self.mean = _frozen(np.array(mean, dtype=float))
-        self.std = _frozen(np.array(std, dtype=float))
+        self.index = _column(index, numbers.Integral, np.int64, "index")
+        self.mean = _column(mean, numbers.Real, float, "mean")
+        self.std = _column(std, numbers.Real, float, "std")
         if not len(self.index) == len(self.mean) == len(self.std):
             raise DomainError("index, mean and std columns differ in length")
-        bad = _first_invalid(self.mean, self.std)
-        if bad is not None:
-            self[bad]  # the record's own check raises its message
+        mean, std = self.mean, self.std
+        bad = np.flatnonzero(
+            (mean == 0.0) | ~np.isfinite(mean) | ~((std >= 0.0) & (std < np.inf)) | ~(std / _SQUARE_MAX < np.abs(mean))
+        )
+        if bad.size:
+            self[int(bad[0])]  # the record's own check raises its message
         # Python's ** (libm pow) and not np.square, whose x*x differs from
         # pow(x, 2) in the last bit on about one subgroup in 1400
         self.cv2 = _frozen(np.array([x**2 for x in (self.std / self.mean).tolist()], dtype=float))
@@ -207,53 +259,22 @@ def _read_plain(path: str) -> Optional[PhaseIISeries]:
 
 
 def _read_rows(path: str) -> PhaseIISeries:
-    """``read_phase2_csv`` one ``csv`` row at a time: the reader of every
-    file that ``_read_plain`` refuses, and the owner of the error texts."""
-    indices: list[int] = []
-    means: list[float] = []
-    stds: list[float] = []
-    failure: Optional[Exception] = None
-    bad_row: Optional[list[str]] = None
+    """``read_phase2_csv`` by ``csv.DictReader``, one ``PhaseIIRecord`` per
+    row: the reader of every file that ``_read_plain`` refuses, and the
+    owner of the error texts, raised at the first row that fails."""
+    fields = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        columns = None if header is None else _positions(header)
-        if columns is None:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(_COLUMNS).issubset(reader.fieldnames):
             raise ConfigError(f"{path}: header must contain columns {sorted(_COLUMNS)}")
-        i_col, m_col, s_col = columns
-        add_index, add_mean, add_std = indices.append, means.append, stds.append
-        try:
-            for row in reader:
-                if row:
-                    try:
-                        index = int(row[i_col])
-                        mean = float(row[m_col])
-                        std = float(row[s_col])
-                    except (IndexError, ValueError):
-                        bad_row = row
-                        break
-                    add_index(index)
-                    add_mean(mean)
-                    add_std(std)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # raised after the domain check of the rows read before it, as
-            # a row-by-row loop would
-            failure = exc
-    try:
-        series = PhaseIISeries(indices, means, stds)
-    except DomainError as exc:
-        line = _first_invalid(np.array(means), np.array(stds)) + 2
-        raise ConfigError(f"{path}:{line}: bad record ({exc})") from exc
-    if failure is not None:
-        raise failure
-    if bad_row is not None:
-        # redo the row as DictReader saw it, short rows padded with None
-        fields = [bad_row[col] if col < len(bad_row) else None for col in columns]
-        try:
-            int(fields[0]), float(fields[1]), float(fields[2])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{len(stds) + 2}: bad record ({exc})") from exc
-    return series
+        for line, row in enumerate(reader, start=2):
+            try:
+                record = PhaseIIRecord(int(row["index"]), float(row["mean"]), float(row["std"]))
+            except (TypeError, ValueError) as exc:  # a DomainError is a ValueError
+                raise ConfigError(f"{path}:{line}: bad record ({exc})") from exc
+            fields.append((record.index, record.sample_mean, record.sample_std))
+    index, mean, std = zip(*fields) if fields else ((), (), ())
+    return PhaseIISeries(index, mean, std)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,6 +104,10 @@ class RunLengthMethod(str, enum.Enum):
     MONTE_CARLO = "monte_carlo"
 
 
+_MAX_WINDOW = 64  # s - 1 history bits fit an int64
+_MAX_HISTORIES = 2**14  # transient states of the largest automaton built
+
+
 @dataclass(frozen=True)
 class RunRule:
     """Signal when r of the last s points fall beyond the control limit."""
@@ -116,6 +121,8 @@ class RunRule:
         object.__setattr__(self, "s", as_integer(self.s, "s", 1))
         if not (1 <= self.r <= self.s):
             raise DomainError(f"need 1 <= r <= s, got r={self.r}, s={self.s}")
+        if self.s > _MAX_WINDOW:
+            raise DomainError(f"need s <= {_MAX_WINDOW}, got s={self.s}")
         object.__setattr__(self, "direction", Direction(self.direction))
 
     @property
@@ -140,9 +147,21 @@ class RuleAutomaton:
 def _history_values(r: int, s: int) -> np.ndarray:
     """History value of each state of the r-of-s rule, in state order
     (descending): the last s - 1 flags as bits, newest lowest, fewer than
-    r of them set."""
-    mask = (1 << (s - 1)) - 1
-    values = np.array([v for v in range(mask, -1, -1) if bin(v).count("1") < r], dtype=np.int64)
+    r of them set.
+
+    Only those histories are enumerated, as the sets of their violations'
+    bit positions.  A rule with more than ``_MAX_HISTORIES`` of them
+    (8-of-16 has exactly that many) raises ``DomainError`` first.
+    """
+    width = s - 1
+    count = sum(math.comb(width, k) for k in range(r))
+    if s > _MAX_WINDOW or count > _MAX_HISTORIES:
+        raise DomainError(
+            f"the {r}-of-{s} rule has {count} histories of {width} bits; "
+            f"at most {_MAX_HISTORIES} of at most {_MAX_WINDOW - 1} bits are supported"
+        )
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(width), k) for k in range(r))
+    values = np.array(sorted((sum(1 << bit for bit in bits) for bits in subsets), reverse=True), dtype=np.int64)
     values.flags.writeable = False
     return values
 

@@ -5,9 +5,11 @@ is printed at the end of the run so a plain ``pytest`` invocation shows
 the per-criterion verdicts.
 
 ``c7_cells`` draws the Monte Carlo acceptance cells; the sampler-law test
-in ``test_mcsim`` runs on the same cells.
+in ``test_mcsim`` runs on the same cells.  ``EDGE_FLOATS`` are the float
+inputs of the typed-failure property tests.
 """
 
+import math
 import sys
 import os
 
@@ -21,6 +23,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 # example database into the checkout; a test sets only max_examples.
 settings.register_profile("cvrunrules", deadline=None, derandomize=True, database=None)
 settings.load_profile("cvrunrules")
+
+# Each float input of a typed-failure property test takes these values,
+# as a float or as a numpy scalar.
+EDGE_FLOATS = [0.0, -0.0, -1.0, -1e-300, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan, 0.5, 1.0, 1.5, 2.0]
 
 _C7_RULES = [(2, 3), (3, 4), (4, 5)]
 

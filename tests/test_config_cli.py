@@ -428,6 +428,14 @@ class TestCli:
         assert len(rows) == 150
         assert all(float(r["pdf"]) >= 0.0 for r in rows)
 
+    @pytest.mark.parametrize("profile", ["exact", "cdflib"])
+    def test_density_takes_no_cdf_profile(self, profile, capsys):
+        # cv2_pdf has no profile: the flag was accepted and changed nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--gamma0", "0.1", "--points", "2", "--cdf", profile])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --cdf {profile}" in capsys.readouterr().err
+
     def test_infeasible_design_exit_code(self, tmp_path):
         doc = base_config()
         doc["rules"] = [{"r": 2, "s": 3, "direction": "lower"}]

@@ -32,6 +32,7 @@ from cvrunrules.errors import CvRunRulesError, DomainError, UnattainableDesignEr
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunRule
 
+from conftest import EDGE_FLOATS
 from tables import EXAMPLE_GAMMA0, EXAMPLE_SHEWHART_UCL, EXAMPLE_UCL, TABLE2_CONSTANTS
 
 K_TOL = 1e-3
@@ -716,11 +717,6 @@ def _check_of(exc):
     """An error's type and message with every number masked: the check
     that refused, whatever value it names."""
     return type(exc), re.sub(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|\binf\b|\bnan\b)", "#", str(exc))
-
-
-# Each float input of EARL and of ShiftSpec.from_tau takes these values,
-# as a float or as a numpy scalar.
-EDGE_FLOATS = [0.0, -0.0, -1.0, -1e-300, 1e-320, 1e-300, 1e300, math.inf, -math.inf, math.nan, 0.5, 1.0, 1.5, 2.0]
 
 
 @functools.lru_cache

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from cvrunrules import phase2
-from cvrunrules.cvdist import ProcessModel
+from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design
-from cvrunrules.errors import ConfigError, DomainError
+from cvrunrules.design import ChartDesign
+from cvrunrules.errors import ConfigError, CvRunRulesError, DomainError
 from cvrunrules.phase2 import PhaseIIRecord, PhaseIISeries, monitor, monitor_values, read_phase2_csv
 from cvrunrules.runrules import Direction, RunRule
 
+from conftest import EDGE_FLOATS
 from tables import EXAMPLE_SHEWHART_UCL, EXAMPLE_UCL, PHASE2_DATA
 
 
@@ -193,6 +195,79 @@ class TestRecords:
         path.write_text("idx,avg\n1,2\n")
         with pytest.raises(ConfigError):
             read_phase2_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "index", [1.5, True, np.True_, "1", None], ids=["float", "bool", "numpy-bool", "str", "none"]
+    )
+    def test_record_refuses_a_non_integer_index(self, index):
+        with pytest.raises(DomainError, match="record index must be an integer"):
+            PhaseIIRecord(index, 1.0, 0.1)
+
+    @pytest.mark.parametrize("value", ["1.5", None, True, 1j], ids=["str", "none", "bool", "complex"])
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_record_refuses_a_non_real_mean_or_std(self, field, value):
+        fields = {"mean": 1.0, "std": 0.1} | {field: value}
+        with pytest.raises(DomainError, match=f"sample {field} must be a real number"):
+            PhaseIIRecord(1, fields["mean"], fields["std"])
+
+    def test_record_stores_plain_numbers(self):
+        rec = PhaseIIRecord(np.int32(3), np.float32(0.5), 2**-1074)
+        assert (type(rec.index), type(rec.sample_mean), type(rec.sample_std)) == (int, float, float)
+        assert rec == PhaseIIRecord(3, 0.5, 5e-324)
+        with pytest.raises(DomainError, match="sample mean must be finite"):
+            PhaseIIRecord(1, -(10**400), 0.1)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            [1.5, 2.9],
+            [True, False],
+            ["a", "b"],
+            [None, None],
+            [math.nan, 1],
+            np.array([1.5, 2.5]),
+            np.array([True, False]),
+        ],
+        ids=["floats", "bools", "strs", "nones", "nan", "float-array", "bool-array"],
+    )
+    def test_series_refuses_a_non_integer_index(self, index):
+        # the float column was truncated to [1, 2]; the others raised a raw
+        # ValueError or TypeError, or kept the bools as 1 and 0
+        with pytest.raises(DomainError, match="the index column must hold integral numbers"):
+            PhaseIISeries(index, [1.0, 1.0], [0.1, 0.1])
+
+    @pytest.mark.parametrize("value", ["1.5", None, True, 1j], ids=["str", "none", "bool", "complex"])
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_series_refuses_a_non_real_mean_or_std(self, field, value):
+        # the string was parsed as a float; the others raised raw errors
+        columns = {"mean": [1.0, 2.0], "std": [0.1, 0.2]}
+        columns[field] = [columns[field][0], value]
+        with pytest.raises(DomainError, match=f"the {field} column must hold real numbers, got .* in row 2"):
+            PhaseIISeries([1, 2], columns["mean"], columns["std"])
+
+    @pytest.mark.parametrize("field", ["index", "mean", "std"])
+    @pytest.mark.parametrize("shape", [(1, 1), ()])
+    def test_series_refuses_a_column_that_is_not_one_dimensional(self, field, shape):
+        columns = {"index": np.ones(shape, dtype=np.int64), "mean": np.ones(shape), "std": np.ones(shape)}
+        columns = {name: column if name == field else column.reshape(-1) for name, column in columns.items()}
+        with pytest.raises(DomainError, match=f"the {field} column must be one-dimensional"):
+            PhaseIISeries(columns["index"], columns["mean"], columns["std"])
+        with pytest.raises(DomainError, match=f"the {field} column must be one-dimensional"):
+            PhaseIISeries(*(column.tolist() for column in columns.values()))
+
+    def test_series_takes_any_integral_and_real_types(self):
+        series = PhaseIISeries(
+            [np.int32(3), 2**70, -1], [np.float32(0.5), 2, np.float64(-4.0)], [0, np.int64(1), 0.25]
+        )
+        assert series.index.tolist() == [3, 2**70, -1] and series.index.dtype == object
+        assert series.mean.tolist() == [0.5, 2.0, -4.0] and series.std.tolist() == [0.0, 1.0, 0.25]
+        assert list(series) == [
+            PhaseIIRecord(3, 0.5, 0.0), PhaseIIRecord(2**70, 2.0, 1.0), PhaseIIRecord(-1, -4.0, 0.25)
+        ]
+        index = PhaseIISeries(np.array([2**63 + 1], dtype=np.uint64), [1.0], [0.0]).index
+        assert index.tolist() == [2**63 + 1]
+        with pytest.raises(DomainError, match="the mean column holds a value past the double range"):
+            PhaseIISeries([1], [10**400], [0.1])
 
 
 class TestColumnReader:
@@ -468,3 +543,108 @@ class TestMonitorValues:
         # every point on one side: plausible traces of no chart at all
         with pytest.raises(DomainError, match="limit"):
             monitor_values([5.0, 5.0, 5.0], 2, 3, direction, limit)
+
+
+# Indices a record or a series may be given: integers of several sizes and
+# types, and values that are not integers.
+_EDGE_INDICES = [
+    0, -1, 3, 2**63, -(2**70), np.int64(7), np.uint8(3), True, np.True_, 1.5, math.nan, np.float64(2.0), "1", None
+]
+
+
+@hs.composite
+def _rules(draw):
+    s = draw(hs.integers(1, 5))
+    return draw(hs.integers(1, s)), s, draw(hs.sampled_from(["upper", "lower"]))
+
+
+class TestTypedFailures:
+    """Every value from ``EDGE_FLOATS`` (or a plausible one), as a float or
+    a numpy scalar, and every index from ``_EDGE_INDICES`` either gives a
+    result in range or raises a ``CvRunRulesError``: never another
+    exception, and never a ``RuntimeWarning``."""
+
+    @staticmethod
+    def _floats(draw, as_numpy, count):
+        """``count`` values, each from ``EDGE_FLOATS`` or a plausible one."""
+        wrap = np.float64 if as_numpy else float
+        values = hs.one_of(hs.sampled_from(EDGE_FLOATS), hs.floats(0.05, 2.0))
+        return [wrap(draw(values)) for _ in range(count)]
+
+    @settings(max_examples=300)
+    @given(index=hs.sampled_from(_EDGE_INDICES), data=hs.data(), as_numpy=hs.booleans())
+    def test_record(self, index, data, as_numpy):
+        mean, std = self._floats(data.draw, as_numpy, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                record = PhaseIIRecord(index, mean, std)
+            except CvRunRulesError:
+                return
+            cv2 = record.cv2
+        assert type(record.index) is int and 0.0 <= cv2 < math.inf
+
+    @settings(max_examples=300)
+    @given(data=hs.data(), size=hs.integers(0, 4), as_numpy=hs.booleans(), as_arrays=hs.booleans())
+    def test_series(self, data, size, as_numpy, as_arrays):
+        index = [data.draw(hs.one_of(hs.sampled_from(_EDGE_INDICES), hs.integers())) for _ in range(size)]
+        mean, std = self._floats(data.draw, as_numpy, size), self._floats(data.draw, as_numpy, size)
+        if as_arrays:
+            mean, std = np.array(mean), np.array(std)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                series = PhaseIISeries(index, mean, std)
+            except CvRunRulesError:
+                return
+            records = list(series)
+        assert len(series) == size
+        assert all(0.0 <= x < math.inf for x in series.cv2.tolist())
+        assert series.cv2.tolist() == [record.cv2 for record in records]
+
+    @settings(max_examples=300)
+    @given(data=hs.data(), rule=_rules(), size=hs.integers(0, 8), as_numpy=hs.booleans())
+    def test_monitor_values(self, data, rule, size, as_numpy):
+        r, s, direction = rule
+        values = self._floats(data.draw, as_numpy, size)
+        (limit,) = self._floats(data.draw, as_numpy, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                trace = monitor_values(values, r, s, Direction(direction), limit)
+            except CvRunRulesError:
+                return
+        assert trace.first_signal is None or 1 <= trace.run_start <= trace.first_signal <= size
+        assert trace.first_signal == brute_force_first_signal(values, r, s, limit, direction)
+        assert len(trace.outside) == len(trace.states) == size
+
+    @settings(max_examples=200)
+    @given(
+        data=hs.data(),
+        rules=hs.lists(_rules(), max_size=2),
+        size=hs.integers(0, 6),
+        as_numpy=hs.booleans(),
+        as_series=hs.booleans(),
+    )
+    def test_monitor(self, data, rules, size, as_numpy, as_series):
+        mean, std = self._floats(data.draw, as_numpy, size), self._floats(data.draw, as_numpy, size)
+        columns = list(range(1, size + 1)), mean, std
+        limits = self._floats(data.draw, as_numpy, len(rules))
+        moments = moments_for_gamma(0.1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                records = PhaseIISeries(*columns) if as_series else [PhaseIIRecord(*row) for row in zip(*columns)]
+                designs = [
+                    ChartDesign.from_limit(RunRule(r, s, direction), limit, moments, 370.4)
+                    for (r, s, direction), limit in zip(rules, limits)
+                ]
+                traces = monitor(records, designs)
+            except CvRunRulesError:
+                return
+        values = [record.cv2 for record in records]
+        assert all(0.0 <= x < math.inf for x in values)
+        assert [t.first_signal for t in traces] == [
+            brute_force_first_signal(values, d.rule.r, d.rule.s, d.limit, d.rule.direction.value) for d in designs
+        ]
+

@@ -326,6 +326,48 @@ class TestArrayAutomaton:
             runrules._gth_plan.cache_clear()
 
 
+class TestRuleSize:
+    """The histories with fewer than r violations are enumerated, never
+    found by a scan of all 2**(s - 1), so a long window with few
+    violations is cheap.  A rule with more than 2**14 histories, or with
+    more history bits than an int64 holds, is refused before any work."""
+
+    @pytest.mark.parametrize("s", range(1, 15))
+    def test_history_values_equal_a_scan(self, s):
+        mask = (1 << (s - 1)) - 1
+        for r in range(1, s + 1):
+            scan = np.array([v for v in range(mask, -1, -1) if bin(v).count("1") < r], dtype=np.int64)
+            values = runrules._history_values(r, s)
+            assert values.dtype == scan.dtype and np.array_equal(values, scan), r
+            assert not values.flags.writeable
+
+    def test_long_window_matches_the_full_chain(self):
+        # 2-of-40 has 40 states; the scan over its 2**39 histories never ended
+        chain = reference_chain(2, 40, 0.99)
+        m = chain.transition.shape[0]
+        full_arl = np.linalg.solve(np.eye(m) - chain.transition, np.ones(m))[chain.initial_index]
+        assert m == 40
+        assert chain_arl(2, 40, 0.99) == pytest.approx(full_arl, rel=1e-12)
+        assert chain_arl(2, 40, 0.99) == pytest.approx(408.3840834654049, rel=1e-12)
+        pm = ProcessModel(0.1, 5)
+        design = solve_design(RunRule(2, 40, Direction.UPPER), pm)
+        assert arl_at_shift(design, pm).arl == pytest.approx(370.4, rel=1e-6)
+
+    def test_largest_supported_rule(self):
+        automaton = rule_automaton(8, 16)
+        assert (len(automaton.states), automaton.representatives.size) == (2**14, 11440)
+
+    def test_window_past_int64_refused(self):
+        RunRule(1, 64, Direction.UPPER)
+        with pytest.raises(DomainError, match="need s <= 64, got s=65"):
+            RunRule(2, 65, Direction.UPPER)
+
+    @pytest.mark.parametrize("r,s", [(20, 40), (9, 17), (2, 100)])
+    def test_too_many_histories_refused(self, r, s):
+        with pytest.raises(DomainError, match=f"the {r}-of-{s} rule has [0-9]+ histories"):
+            rule_automaton(r, s)
+
+
 class TestHistoryPath:
     @pytest.mark.parametrize("r,s", ALL_RULES)
     def test_follows_next_state_tables(self, r, s):
