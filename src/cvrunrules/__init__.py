@@ -12,7 +12,7 @@ variates.  The item-by-item pipeline lives in the test suite, as the
 reference for that sampler.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .cvdist import Cv2Moments, ProcessModel, cv2_cdf, cv2_moments, cv2_pdf, cv_cdf
 from .design import (

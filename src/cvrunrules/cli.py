@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ChartConfig, _limit_label, load_config
-from .cvdist import _PROFILES, ProcessModel, cv2_pdf
+from .cvdist import _GAMMA_FLOOR, _PROFILES, GAMMA_VALIDITY_LIMIT, ProcessModel, cv2_pdf
 from .design import (
     ChartDesign,
     ShiftRange,
@@ -295,7 +295,10 @@ def _cmd_density(args: argparse.Namespace) -> tuple[Sequence[str], list]:
         raise ConfigError(f"--x-max must be positive and finite, got {args.x_max}")
     rows = []
     for gamma0 in args.gamma0:
-        ProcessModel(gamma0=gamma0, n=args.n)  # validates the window
+        try:
+            ProcessModel(gamma0=gamma0, n=args.n)  # validates n and the window
+        except GammaDomainError as exc:  # a bad option, not a numeric failure
+            raise ConfigError(f"--gamma0 must lie in [{_GAMMA_FLOOR}, {GAMMA_VALIDITY_LIMIT}), got {gamma0}") from exc
         x_max = args.x_max if args.x_max is not None else 6.0 * gamma0 * gamma0
         for x in np.linspace(x_max / args.points, x_max, args.points).tolist():
             rows.append((gamma0, args.n, x, cv2_pdf(x, args.n, gamma0)))

@@ -3,14 +3,16 @@
 A JSON file bundles the process model, an optional measurement-error
 model, the run rules to design, and the in-control ARL target.  The
 schema is strict: unknown keys anywhere are rejected, every numeric field
-must be finite, and precomputed limits (when given) must name a rule that
-is actually configured.
+must be a finite JSON number (a string or a boolean is refused), and
+precomputed limits (when given) must name a rule that is actually
+configured.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -42,11 +44,15 @@ def _limit_label(rule: RunRule) -> str:
     return f"{rule.r}of{rule.s}-{rule.direction.value}"
 
 
-def _require_finite(value: float, where: str) -> float:
+def _require_finite(value: object, where: str) -> float:
+    """``value`` as a finite float; any real type but bool is accepted, so
+    a JSON string or ``true`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    except OverflowError:  # an integer past the double range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {value}")
     return value

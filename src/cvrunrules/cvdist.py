@@ -13,11 +13,16 @@ with the Poisson weights w_j and beta decrements T_j of ``specfun``.
 These forms are only trustworthy for gamma < 0.5; larger values are
 rejected unless explicitly forced (out-of-control evaluations can push
 the effective CV past the window and callers opt in knowingly).
+
+Every chart works through F_cv2 alone.  The t form, ``cv_cdf``, is
+deprecated since 0.3.0 and goes in the next release: F_cv2(x^2) is
+P(|CV| <= x), while F_cv(x) counts only the positive CVs.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from math import sqrt
 from typing import Sequence
@@ -97,7 +102,18 @@ class Cv2Moments:
 
 
 def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
-    """P(sample CV <= x) for x > 0."""
+    """P(0 < sample CV <= x) for x > 0, through the noncentral t CDF.
+
+    Deprecated since 0.3.0: use ``cv2_cdf(x * x, n, gamma)``, which is
+    P(|CV| <= x).  It exceeds this value by P(T < -sqrt(n)/x) <=
+    erfc(sqrt(n/2)/gamma)/2: at most 2.3e-3 at n = 2 and 3.9e-6 at n = 5
+    over the validity window.
+    """
+    warnings.warn(
+        "cvrunrules.cv_cdf is deprecated; use cv2_cdf(x * x, n, gamma)",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     x = float(x)  # a numpy scalar would overflow sqrt(n)/x with a RuntimeWarning
     as_integer(n, "subgroup size n", 2)
     _check_gamma(gamma, force)

@@ -105,7 +105,9 @@ class RunLengthMethod(str, enum.Enum):
 
 
 _MAX_WINDOW = 64  # s - 1 history bits fit an int64
-_MAX_HISTORIES = 2**14  # transient states of the largest automaton built
+# transient states of the largest automaton built; the partition key of
+# ``rule_automaton`` needs (cap + 2)^3 < 2^63
+_MAX_HISTORIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,6 @@ def rule_automaton(r: int, s: int) -> RuleAutomaton:
     block = np.zeros(values.size, dtype=np.int64)
     while True:
         base = int(block.max()) + 2
-        if base**3 > 2**63:
-            raise DomainError(f"the {r}-of-{s} rule has too many history classes to partition")
         key = (block * base + block[t_in]) * base + np.where(absorbs, 0, block[t_out] + 1)
         # return_index makes the sort a stable one: each class's first state
         _, first, refined = np.unique(key, return_index=True, return_inverse=True)

@@ -22,7 +22,8 @@ Against a 40-digit mpmath sum the F CDF is within 1e-12 absolute for
 lambda up to 24 000, the density at the tested points within 1e-12
 relative; the t CDF is within 1e-13 of ``scipy.stats.nct`` for |delta|
 <= 60 and, out to delta = 2828, of the identity F_t(x) - F_F(x^2) =
-P(T < -x) to 1e-12.
+P(T < -x) to 1e-12.  The t CDF now serves only ``cvdist.cv_cdf``,
+deprecated since 0.3.0, and is removed with it.
 
 The F CDF is batched over lambda (``_f_cdf_levels``): at one x the beta
 values depend on the term index alone, so nodes whose windows overlap

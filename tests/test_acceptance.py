@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from cvrunrules.cvdist import ProcessModel, cv2_cdf, cv2_pdf, cv_cdf
+from cvrunrules.cvdist import ProcessModel, cv2_cdf, cv2_pdf
 from cvrunrules.design import (
     DECREASING_SHIFTS,
     INCREASING_SHIFTS,
@@ -432,9 +432,11 @@ def test_c8_property_suite():
 
     total, _ = quad(lambda x: cv2_pdf(x, 5, 0.2), 1e-12, 2.0, limit=400)
     assert total == pytest.approx(1.0, abs=1e-6)
-    # the two distribution routes agree
+    # the F route agrees with scipy's noncentral t (T = sqrt(n)/CV)
+    from scipy.stats import nct
+
     cross = max(
-        abs(cv_cdf(float(x), 5, 0.1) - cv2_cdf(float(x) ** 2, 5, 0.1))
+        abs(1.0 - nct.cdf(math.sqrt(5) / float(x), 4, math.sqrt(5) / 0.1) - cv2_cdf(float(x) ** 2, 5, 0.1))
         for x in np.arange(0.05, 0.51, 0.05)
     )
     assert cross <= 1e-9

@@ -114,6 +114,81 @@ class TestConfigSchema:
         assert cfg.measurement_error.is_identity
         assert cfg.arl0 == 370.4
 
+    @pytest.mark.parametrize(
+        "keys,value",
+        [
+            (("process", "gamma0"), "0.1"),
+            (("measurement_error", "B"), "2"),
+            (("arl0",), "500"),
+            (("limits", "2of3-upper"), "0.05"),
+            (("measurement_error", "theta"), True),
+            (("limits", "2of3-upper"), True),
+        ],
+        ids=["gamma0-string", "B-string", "arl0-string", "limit-string", "theta-true", "limit-true"],
+    )
+    def test_numbers_refuse_strings_and_booleans(self, keys, value):
+        # float() read "0.1" as 0.1 and true as 1.0, while n, m, r and s refused both
+        doc = base_config()
+        *sections, key = keys
+        target = doc
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{'.'.join(keys)}: expected a number, got {value!r}")):
+            parse_config(doc)
+
+    def test_integer_past_the_double_range_refused(self, tmp_path):
+        # float() raised a bare OverflowError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()).replace("370.4", "1" + "0" * 400))
+        with pytest.raises(ConfigError, match="arl0: value must be finite, got inf"):
+            load_config(str(path))
+
+    def test_json_integers_accepted(self):
+        doc = base_config()
+        doc["arl0"] = 500
+        doc["measurement_error"]["B"] = 2
+        cfg = parse_config(doc)
+        assert (cfg.arl0, cfg.measurement_error.slope) == (500.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda doc: doc.update(process=[0.1, 5]), "process: expected an object", id="section-not-object"),
+            pytest.param(lambda doc: doc["process"].pop("n"), "process: needs keys ['gamma0', 'n']", id="process-without-n"),
+            pytest.param(
+                lambda doc: doc["measurement_error"].update(theta=-1),
+                "measurement_error: theta must be >= 0, got -1.0",
+                id="negative-theta",
+            ),
+            pytest.param(lambda doc: doc.update(rules=[]), "rules: expected a non-empty list", id="no-rules"),
+            pytest.param(
+                lambda doc: doc["rules"][0].pop("direction"),
+                "rules[0]: needs keys ['direction', 'r', 's']",
+                id="rule-without-direction",
+            ),
+            pytest.param(
+                lambda doc: doc["rules"][0].update(direction="sideways"),
+                "rules[0]: 'sideways' is not a valid Direction",
+                id="unknown-direction",
+            ),
+            pytest.param(
+                lambda doc: doc["rules"][0].update(r=4), "rules[0]: need 1 <= r <= s, got r=4, s=3", id="r-above-s"
+            ),
+            pytest.param(lambda doc: doc.update(arl0=1), "arl0: must exceed 1, got 1.0", id="arl0-one"),
+            pytest.param(
+                lambda doc: doc.update(limits=[0.05]),
+                "limits: expected an object of rule-label -> limit",
+                id="limits-list",
+            ),
+        ],
+    )
+    def test_schema_refusals(self, edit, message):
+        doc = base_config()
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(doc)
+
 
 class TestCli:
     def test_design_table_output(self, tmp_path, capsys):
@@ -374,6 +449,11 @@ class TestCli:
         assert main(["simulate", "--config", path, "--rule", "2,3,upper",
                      "--replications", "0"]) == 2
 
+    def test_simulate_rule_needs_three_fields(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", path, "--rule", "2,3", "--replications", "10"]) == 2
+        assert "error [usage]: --rule: expected r,s,direction, got '2,3'" in capsys.readouterr().err
+
     def test_simulate_unknown_rule(self, tmp_path):
         path = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", path, "--rule", "4,5,lower",
@@ -435,6 +515,14 @@ class TestCli:
             main(["density", "--gamma0", "0.1", "--points", "2", "--cdf", profile])
         assert exc.value.code == 2
         assert f"unrecognized arguments: --cdf {profile}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma0", ["0.7", "0.5", "0", "-1", "1e-200", "nan"])
+    def test_density_gamma0_outside_the_window_usage_error(self, gamma0, capsys):
+        # a bad option, as a bad --n is: it exited 3 as a numeric failure
+        assert main(["density", "--gamma0", "0.1", gamma0, "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"error [usage]: --gamma0 must lie in [1e-150, 0.5), got {float(gamma0)}" in err
+        assert "force" not in err
 
     def test_infeasible_design_exit_code(self, tmp_path):
         doc = base_config()

@@ -20,6 +20,19 @@ from cvrunrules.errors import DomainError, GammaDomainError
 CROSS_LAW_ATOL = 1e-9
 
 
+def deprecated_cv_cdf(*args, **kwargs):
+    # cv_cdf warns on every call since 0.3.0; its values are still checked
+    with pytest.deprecated_call():
+        return cv_cdf(*args, **kwargs)
+
+
+def nct_cv_cdf(x, n, gamma):
+    # P(0 < sample CV <= x) from scipy's noncentral t: T = sqrt(n)/CV
+    from scipy.stats import nct
+
+    return 1.0 - nct.cdf(math.sqrt(n) / x, n - 1, math.sqrt(n) / gamma)
+
+
 def simulate_cv(rng, reps, n, gamma):
     # direct subgroup simulation; mu = 1, sigma = gamma (CV-determined)
     x = rng.normal(1.0, gamma, size=(reps, n))
@@ -52,7 +65,7 @@ class TestProcessModel:
 class TestCvCdf:
     def test_monotone_grid(self):
         xs = np.linspace(0.01, 1.0, 60)
-        vals = [cv_cdf(float(x), 5, 0.1) for x in xs]
+        vals = [deprecated_cv_cdf(float(x), 5, 0.1) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -61,15 +74,15 @@ class TestCvCdf:
         lo, hi = 1e-4, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if cv_cdf(mid, 5, 0.1) < 0.5:
+            if deprecated_cv_cdf(mid, 5, 0.1) < 0.5:
                 lo = mid
             else:
                 hi = mid
-        assert cv_cdf(0.5 * (lo + hi), 5, 0.1) == pytest.approx(0.5, abs=1e-9)
+        assert deprecated_cv_cdf(0.5 * (lo + hi), 5, 0.1) == pytest.approx(0.5, abs=1e-9)
 
     def test_frozen_value(self):
         # mpmath series oracle (50 digits)
-        assert cv_cdf(0.12, 5, 0.1) == pytest.approx(0.77965356803926500, abs=1e-10)
+        assert deprecated_cv_cdf(0.12, 5, 0.1) == pytest.approx(0.77965356803926500, abs=1e-10)
 
     @pytest.mark.slow
     def test_simulation_oracle(self):
@@ -79,16 +92,16 @@ class TestCvCdf:
         x = 0.12
         emp = (cv <= x).mean()
         se = math.sqrt(emp * (1 - emp) / reps)
-        assert abs(cv_cdf(x, 5, 0.1) - emp) <= 3 * se
+        assert abs(deprecated_cv_cdf(x, 5, 0.1) - emp) <= 3 * se
 
     def test_force_window(self):
         with pytest.raises(GammaDomainError):
-            cv_cdf(0.5, 5, 0.6)
-        assert 0.0 <= cv_cdf(0.5, 5, 0.6, force=True) <= 1.0
+            deprecated_cv_cdf(0.5, 5, 0.6)
+        assert 0.0 <= deprecated_cv_cdf(0.5, 5, 0.6, force=True) <= 1.0
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_force_never_admits_non_finite(self, gamma):
-        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
             with pytest.raises(GammaDomainError, match="finite"):
                 law(0.5, 5, gamma, force=True)
 
@@ -96,7 +109,7 @@ class TestCvCdf:
     def test_gamma_whose_square_underflows_rejected(self, gamma):
         # gamma^2 underflows to 0: n / gamma^2 divided by zero (cv2_cdf,
         # cv2_pdf) and the noncentrality went NaN (cv_cdf)
-        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
             with pytest.raises(GammaDomainError, match="at least 1e-150"):
                 law(0.5, 5, gamma)
         with pytest.raises(GammaDomainError):
@@ -106,24 +119,25 @@ class TestCvCdf:
     def test_gamma_whose_square_overflows_rejected(self, gamma):
         # gamma^2 overflowed in n / gamma^2: inf for a float, a RuntimeWarning
         # for a numpy scalar, and a law of noncentrality 0 either way
-        for law in (cv_cdf, cv2_cdf, cv2_pdf):
+        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
             for wrap in (float, np.float64):
                 with pytest.raises(GammaDomainError, match=r"gamma must be below 1e\+150 for its square to stay finite"):
                     law(0.5, 5, wrap(gamma), force=True)
 
     def test_gamma_just_below_the_ceiling_accepted(self):
         gamma = math.nextafter(1e150, 0.0)
-        assert 0.0 <= cv_cdf(0.5, 5, gamma, force=True) <= 1.0
+        assert 0.0 <= deprecated_cv_cdf(0.5, 5, gamma, force=True) <= 1.0
         assert 0.0 <= cv2_cdf(0.5, 5, gamma, force=True) <= 1.0
         assert 0.0 <= cv2_pdf(0.5, 5, gamma, force=True) < math.inf
 
 
 class TestCv2Cdf:
     def test_cross_law_agreement(self):
-        # the t- and F-based forms describe the same statistic
+        # the F-based form against scipy's noncentral t: at gamma = 0.1 and
+        # n = 5 a negative CV has probability below 1e-100
         for x in np.arange(0.05, 0.51, 0.05):
             assert cv2_cdf(float(x) ** 2, 5, 0.1) == pytest.approx(
-                cv_cdf(float(x), 5, 0.1), abs=CROSS_LAW_ATOL
+                nct_cv_cdf(float(x), 5, 0.1), abs=CROSS_LAW_ATOL
             )
 
     def test_limits(self):
@@ -132,6 +146,10 @@ class TestCv2Cdf:
         assert cv2_cdf(1e9, 5, 0.1) == pytest.approx(1.0, abs=1e-10)
         for profile in ("exact", "cdflib"):
             assert cv2_cdf(math.inf, 5, 0.1, profile=profile) == 1.0
+
+    def test_unknown_profile_refused(self):
+        with pytest.raises(DomainError, match=r"unknown profile 'bogus', expected one of \('exact', 'cdflib'\)"):
+            cv2_cdf(0.01, 5, 0.1, profile="bogus")
 
     @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf])
     def test_cdf_pdf_pass_at_nonpositive_x(self, x):

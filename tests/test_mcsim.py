@@ -50,6 +50,10 @@ class TestSimConfig:
         cfg = SimConfig(replications=np.int64(10), seed=np.uint64(2**63))
         assert (type(cfg.replications), type(cfg.seed)) == (int, int)
 
+    def test_seed_past_64_bits_refused(self):
+        with pytest.raises(DomainError, match="seed must be a 64-bit unsigned integer"):
+            SimConfig(replications=10, seed=2**64)
+
 
 class TestSimulateSubgroup:
     @pytest.mark.slow

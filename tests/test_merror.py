@@ -131,6 +131,19 @@ class TestShiftSpec:
         with pytest.raises(DomainError):
             shift_from_ab(a, b, gamma0)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"tau": 0.0, "a": 0.0}, "tau must be positive, got 0.0"),
+            ({"tau": -1.0, "a": 0.0}, "tau must be positive, got -1.0"),
+            ({"tau": 1.0, "a": -20.0}, "1 + a*gamma0 must be positive, got -1.0"),
+        ],
+    )
+    def test_constructor_refuses_a_bad_shift(self, fields, message):
+        # built directly, not through from_tau or from_ab
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ShiftSpec(b=1.0, gamma0=0.1, **fields)
+
     def test_from_tau_roundtrip(self):
         shift = ShiftSpec.from_tau(0.8, 0.05)
         assert shift.b == 1.0

@@ -5,6 +5,8 @@ import os
 import pytest
 
 import cvrunrules
+from cvrunrules import runrules
+from cvrunrules.runrules import Direction, RunRule
 
 PUBLIC_NAMES = (
     "ChainSingularError", "ChartDesign", "ConfigError", "Cv2Moments", "CvRunRulesError", "DECREASING_SHIFTS",
@@ -29,6 +31,23 @@ def test_version_matches_pyproject():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == cvrunrules.__version__
+
+
+@pytest.mark.parametrize("name", ["runrules.build_chain", "runrules.arl", "cv_cdf"])
+def test_deprecations_use_the_filtered_wording(name):
+    # pyproject.toml turns only this wording into an error: a deprecation
+    # worded otherwise would let a test call the name unnoticed
+    rule = RunRule(2, 3, Direction.UPPER)
+    with pytest.deprecated_call():
+        chain = runrules.build_chain(rule, 0.9)
+    calls = {
+        "runrules.build_chain": lambda: runrules.build_chain(rule, 0.9),
+        "runrules.arl": lambda: runrules.arl(chain),
+        "cv_cdf": lambda: cvrunrules.cv_cdf(0.12, 5, 0.1),
+    }
+    with pytest.warns(DeprecationWarning, match=r"^cvrunrules\.\S+ is deprecated") as record:
+        calls[name]()
+    assert str(record[0].message).startswith(f"cvrunrules.{name} is deprecated; use ")
 
 
 def test_tracer_names_exist():

@@ -255,6 +255,10 @@ class TestRecords:
         with pytest.raises(DomainError, match=f"the {field} column must be one-dimensional"):
             PhaseIISeries(*(column.tolist() for column in columns.values()))
 
+    def test_series_refuses_columns_of_different_lengths(self):
+        with pytest.raises(DomainError, match="index, mean and std columns differ in length"):
+            PhaseIISeries([1, 2], [1.0], [0.1, 0.1])
+
     def test_series_takes_any_integral_and_real_types(self):
         series = PhaseIISeries(
             [np.int32(3), 2**70, -1], [np.float32(0.5), 2, np.float64(-4.0)], [0, np.int64(1), 0.25]

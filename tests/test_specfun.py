@@ -32,6 +32,24 @@ CDF_ATOL = 1e-10          # noncentral CDF contract
 FD_RTOL = 1e-6            # pdf vs finite-differenced cdf
 
 
+def assert_fails_fast(call):
+    """``call`` hits the term cap before allocating or looping."""
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(EvaluationError, match="Poisson window"):
+            call()
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1_000_000
+
+
 def _mp_noncentral_f_cdf(x, df1, df2, lam):
     """Noncentral F CDF as a 40-digit mpmath Poisson-beta sum.
 
@@ -261,6 +279,11 @@ class TestNoncentralT:
                     diff = noncentral_t_cdf(x, n - 1.0, delta) - noncentral_f_cdf(x * x, p)
                     assert -1e-12 <= diff <= 0.5 * math.erfc(delta / math.sqrt(2.0)) + 1e-12, (n, gamma, r, diff)
 
+    def test_huge_delta_fails_fast(self):
+        # ~1.7e8 terms at delta = 1.5e7, as the F CDF's test_huge_lambda_fails_fast
+        assert_fails_fast(lambda: noncentral_t_cdf(1e7, 4.0, 1.5e7))
+        assert_fails_fast(lambda: noncentral_t_cdf(1e9, 4.0, 1e9))  # x^2 / (x^2 + nu) rounds to 1
+
     def test_bad_nu(self):
         with pytest.raises(DomainError):
             noncentral_t_cdf(1.0, 0.0, 1.0)
@@ -374,29 +397,9 @@ class TestNoncentralFCdf:
             assert noncentral_f_cdf(float(x), p) == pytest.approx(st.ncf.cdf(x, 1.0, df2, lam), abs=1e-11)
 
     def test_huge_lambda_fails_fast(self):
-        # the window length (~1.1e8 terms at lambda = 1e14, ~1.7e8 for the
-        # t CDF at delta = 1.5e7) is known before any work, so the cap
-        # raises without allocating or looping
-        import time
-        import tracemalloc
-
-        calls = (
-            lambda: noncentral_f_cdf(1e14, NoncentralParams(1.0, 4.0, 1e14)),
-            lambda: noncentral_t_cdf(1e7, 4.0, 1.5e7),
-            lambda: noncentral_t_cdf(1e9, 4.0, 1e9),  # x^2 / (x^2 + nu) rounds to 1
-        )
-        for call in calls:
-            tracemalloc.start()
-            t0 = time.perf_counter()
-            try:
-                with pytest.raises(EvaluationError, match="Poisson window"):
-                    call()
-                elapsed = time.perf_counter() - t0
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert elapsed < 0.1
-            assert peak < 1_000_000
+        # the window length (~1.1e8 terms at lambda = 1e14) is known before
+        # any work, so the cap raises without allocating or looping
+        assert_fails_fast(lambda: noncentral_f_cdf(1e14, NoncentralParams(1.0, 4.0, 1e14)))
 
     def test_tail_where_u_rounds_to_one(self):
         # from df1 x / df2 ~ 1e16 on, u = df1 x / (df1 x + df2) rounds to 1
