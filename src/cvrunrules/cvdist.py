@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import specfun
 from .errors import DomainError, GammaDomainError, as_integer
@@ -53,15 +53,17 @@ _GAMMA_FLOOR = 1e-150
 _GAMMA_CEILING = 1e150
 
 
-def _check_gamma(gamma: float, force: bool) -> None:
+def _check_gamma(gamma: float, force: Optional[bool] = None) -> None:
+    # ``force`` is the caller's own flag; None where it has none, and then
+    # the refusal offers none.
     if not _GAMMA_FLOOR <= gamma < math.inf:  # force opens the window, never to inf or NaN
         raise GammaDomainError(f"gamma must be finite and at least {_GAMMA_FLOOR}, got {gamma}")
     if not gamma < _GAMMA_CEILING:
         raise GammaDomainError(f"gamma must be below {_GAMMA_CEILING} for its square to stay finite, got {gamma}")
     if gamma >= GAMMA_VALIDITY_LIMIT and not force:
+        hint = "; pass force=True to evaluate anyway" if force is not None else ""
         raise GammaDomainError(
-            f"gamma = {gamma} is outside the validity window (0, {GAMMA_VALIDITY_LIMIT}); "
-            "pass force=True to evaluate anyway"
+            f"gamma = {gamma} is outside the validity window [{_GAMMA_FLOOR}, {GAMMA_VALIDITY_LIMIT}){hint}"
         )
 
 
@@ -86,7 +88,7 @@ class ProcessModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_integer(self.n, "subgroup size n", 2))
-        _check_gamma(self.gamma0, force=False)
+        _check_gamma(self.gamma0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def moments_for_gamma(gamma: float, n: int) -> Cv2Moments:
     """Second-moment approximation of the squared sample CV at a CV level
     in the validity window (bias-corrected mean, matched variance)."""
     as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma, force=False)
+    _check_gamma(gamma)
     g2 = gamma * gamma
     mean = g2 * (1.0 - 3.0 * g2 / n)
     mse = g2 * g2 * (2.0 / (n - 1) + g2 * (4.0 / n + 20.0 / (n * (n - 1)) + 75.0 * g2 / (n * n)))

@@ -18,7 +18,7 @@ class DomainError(CvRunRulesError, ValueError):
 
 class GammaDomainError(DomainError):
     """Coefficient of variation outside the validity window of the
-    distributional approximation (gamma must lie in (0, 0.5))."""
+    distributional approximation (gamma must lie in [1e-150, 0.5))."""
 
 
 class EvaluationError(CvRunRulesError, ArithmeticError):

@@ -101,7 +101,7 @@ def simulate_subgroups(
     """
     size = as_integer(size, "size", 0)
     n = as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma0, force=False)
+    _check_gamma(gamma0)
     shift.check_gamma0(gamma0)
     sigma0 = gamma0 * _MU0
     mean_star = me.theta * _MU0 + me.slope * (_MU0 + shift.a * sigma0)

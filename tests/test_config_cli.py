@@ -524,6 +524,16 @@ class TestCli:
         assert f"error [usage]: --gamma0 must lie in [1e-150, 0.5), got {float(gamma0)}" in err
         assert "force" not in err
 
+    @pytest.mark.parametrize("gamma0", [0.7, 0.5])
+    def test_config_gamma0_outside_the_window_usage_error(self, tmp_path, gamma0, capsys):
+        # ProcessModel has no force flag, so the refusal offers none
+        doc = base_config()
+        doc["process"]["gamma0"] = gamma0
+        assert main(["design", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [usage]: process: gamma = {gamma0} is outside the validity window [1e-150, 0.5)" in err
+        assert "force" not in err
+
     def test_infeasible_design_exit_code(self, tmp_path):
         doc = base_config()
         doc["rules"] = [{"r": 2, "s": 3, "direction": "lower"}]

@@ -52,6 +52,15 @@ class TestProcessModel:
         with pytest.raises(GammaDomainError):
             ProcessModel(-0.1, 5)
 
+    def test_window_refusal_offers_force_only_where_the_caller_has_it(self):
+        window = r"gamma = 0\.6 is outside the validity window \[1e-150, 0\.5\)"
+        for law in (cv2_cdf, cv2_pdf):
+            with pytest.raises(GammaDomainError, match=window + "; pass force=True to evaluate anyway$"):
+                law(0.5, 5, 0.6)
+        for call in (lambda: ProcessModel(0.6, 5), lambda: moments_for_gamma(0.6, 5)):
+            with pytest.raises(GammaDomainError, match=window + "$"):
+                call()
+
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             ProcessModel(0.1, 1)

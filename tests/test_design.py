@@ -222,6 +222,30 @@ class TestNewtonSolver:
                         counts.append(passes[0])
         assert len(counts) == 60 and np.mean(counts) < 6.0
 
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("profile", ["exact", "cdflib"])
+    def test_a_design_builds_its_law_once(self, profile, direction, monkeypatch):
+        # every solver step and the ARL at tau = 1 evaluate the one
+        # in-control law, whose x-free half the kernel's memo builds once
+        from cvrunrules import specfun
+
+        memo = specfun._CUMFNC_LAWS if profile == "cdflib" else specfun._MIXTURE_LAWS
+        passes = [0]
+        real = specfun._split
+
+        def counted(*args):
+            passes[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_split", counted)
+        memo.clear()
+        misses = memo.misses
+        pm, me = ProcessModel(0.1, 15), MeasurementErrorModel(theta=0.05, eta=0.28)
+        design = solve_design(rule(2, 3, direction), pm, me, profile=profile)
+        arl_at_shift(design, pm, me, profile=profile)
+        assert passes[0] >= 4
+        assert memo.misses - misses == 1
+
     @pytest.mark.parametrize("profile", ["exact", "cdflib"])
     @pytest.mark.parametrize(
         "r,s,direction,gamma0,n,arl0,message",

@@ -4,6 +4,7 @@ agreement with the exact Markov metrics."""
 import logging
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as hs
 
 from cvrunrules.cvdist import ProcessModel, moments_for_gamma
 from cvrunrules.design import solve_design, arl_at_shift
-from cvrunrules.errors import DomainError
+from cvrunrules.errors import CvRunRulesError, DomainError
 from cvrunrules.mcsim import (
     SimConfig, _block_signals, _chunk_rng, estimate_run_length, simulate_subgroups,
 )
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunLengthMethod, RunRule
 
-from conftest import c7_cells
+from conftest import EDGE_FLOATS, c7_cells
 from pipeline import _pipeline_subgroups
 
 C7_CELLS = c7_cells()
@@ -395,3 +396,67 @@ class TestShiftProcessMatch:
         far = ShiftSpec.from_tau(1.5, 0.1 * (1 + 1e-10))
         with pytest.raises(DomainError):
             simulate_subgroups(3, 5, 0.1, far, MeasurementErrorModel.identity(), philox(1))
+
+
+class TestTypedFailures:
+    """Every float input of the oracle either gives a finite answer or a
+    CvRunRulesError: never a bare ValueError, ZeroDivisionError or
+    OverflowError, and never a RuntimeWarning.  Each value of
+    ``EDGE_FLOATS`` goes into one field at a time, the others plausible."""
+
+    PM = ProcessModel(0.1, 5)
+    PLAUSIBLE = {"gamma0": 0.1, "tau": 1.2, "b": 1.0, "theta": 0.05, "eta": 0.28, "slope": 0.9}
+
+    @classmethod
+    def _cases(cls, field, wrap):
+        # (args, shift, me) with ``field`` set to each edge value; values that
+        # ShiftSpec or MeasurementErrorModel refuse (typed) are skipped
+        for value in EDGE_FLOATS:
+            args = {key: wrap(v) for key, v in dict(cls.PLAUSIBLE, **{field: value}).items()}
+            try:
+                shift = ShiftSpec.from_tau(args["tau"], args["gamma0"], b=args["b"])
+                me = MeasurementErrorModel(theta=args["theta"], eta=args["eta"], slope=args["slope"])
+            except CvRunRulesError:
+                continue
+            yield args, shift, me
+
+    @pytest.mark.parametrize("field", ["replications", "seed", "max_run_length"])
+    @pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "numpy"])
+    def test_sim_config(self, field, wrap):
+        # a float is never a count, whatever its value
+        for value in EDGE_FLOATS:
+            with pytest.raises(DomainError):
+                SimConfig(**{"replications": 10, "seed": 1, field: wrap(value)})
+
+    @pytest.mark.parametrize("field", ["gamma0", "tau", "b", "theta", "eta", "slope"])
+    @pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "numpy"])
+    def test_simulate_subgroups(self, field, wrap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for args, shift, me in self._cases(field, wrap):
+                try:
+                    out = simulate_subgroups(8, 5, args["gamma0"], shift, me, philox(1))
+                except CvRunRulesError:
+                    continue
+                assert out.shape == (8,)
+                assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+            shift, me = ShiftSpec.in_control(0.1), MeasurementErrorModel.identity()
+            for size in EDGE_FLOATS:
+                with pytest.raises(DomainError):
+                    simulate_subgroups(wrap(size), 5, 0.1, shift, me, philox(1))
+
+    @pytest.mark.parametrize("field", ["tau", "b", "theta", "eta", "slope"])
+    @pytest.mark.parametrize("wrap", [float, np.float64], ids=["float", "numpy"])
+    def test_estimate_run_length(self, field, wrap):
+        cfg = SimConfig(replications=20, seed=3, max_run_length=500)
+        design = solve_design(RunRule(2, 3, Direction.UPPER), self.PM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _, shift, me in self._cases(field, wrap):
+                try:
+                    metrics = estimate_run_length(design, self.PM, me, shift, cfg)
+                except CvRunRulesError:
+                    continue
+                assert 1.0 <= metrics.arl <= cfg.max_run_length
+                assert 0.0 <= metrics.sdrl < math.inf
+                assert 0 <= metrics.truncated <= cfg.replications

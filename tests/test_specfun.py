@@ -109,6 +109,10 @@ def cumfnc_loop(x, p):
     centwt = exp(-xnonc + icent * log(xnonc) - lgamma(icent + 1))
     prod = p.df1 * x
     dsum = p.df2 + prod
+    if prod / dsum == 0.0:
+        # u = 0, outside the 0 < u < 1 where the kernel is this loop bit for
+        # bit: the kernel returns 0, and the loop would take log(0)
+        return 0.0
     yy = p.df2 / dsum
     if yy > 0.5:
         xx = prod / dsum
@@ -652,6 +656,8 @@ class TestBatchedKernel:
     # and the loop, its first term below 1e-20, never forms them
     @example(df2=0.5, lam=10.0, scale=1e-320 / 11.0)
     @example(df2=3.0, lam=10.0, scale=1e-320 / 11.0)
+    # x = 1e-323: u = x / (df2 + x) rounds to 0
+    @example(df2=4.0, lam=1.0, scale=1e-323 / 2.0)
     def test_property_cdflib_is_the_legacy_loop(self, df2, lam, scale):
         # every recurrence of the loop is one sequential accumulate over the
         # same operands, so the totals agree bit for bit, not just to 1e-13
@@ -725,3 +731,96 @@ class TestBatchedKernel:
 
     def test_empty_batch(self):
         assert _f_cdf_levels(1.0, 1.0, 4.0, []) == []
+
+
+_MEMO_LAWS = [
+    (1.0, 4.0, 30.0),
+    (1.0, 14.0, 30.0),  # the same mu, another df2
+    (2.0, 14.0, 30.0),  # and another df1
+    (1.0, 14.0, 1500.0),
+    (1.0, 199.0, 2e5),
+    (1.0, 4.0, 0.0),
+    (1.0, 49.0, 0.4),
+    (1.0, 199.0, 4e6),  # a window longer than the memo keeps
+]
+
+
+def _memo_call(kind, x, df1, df2, lam):
+    p = NoncentralParams(df1, df2, lam)
+    if kind == "pass":
+        return specfun._f_cdf_pdf(x, p)
+    if kind == "pdf":
+        return specfun._f_pdf_over(x, p, 1.0)
+    if kind == "cdf":
+        return noncentral_f_cdf(x, p)
+    if kind == "cdflib":
+        return noncentral_f_cdf_cdflib(x, p)
+    return _f_cdf_levels(x, df1, df2, [lam], cdflib=kind == "levels-cdflib")
+
+
+def _memo_arrays():
+    # every array either memo holds now
+    arrays = []
+    if specfun._MIXTURE_LAWS._last is not None:
+        law = specfun._MIXTURE_LAWS._last[1]
+        arrays += [law.prefix, law.weights]
+    if specfun._CUMFNC_LAWS._last is not None:
+        law = specfun._CUMFNC_LAWS._last[1]
+        _, (down, _), (up, _) = law.walks
+        arrays += [*law.factors, down, up]
+    return arrays
+
+
+class TestLastLawMemo:
+    """The one-law memos behind single-law kernel calls change no value."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        calls=hs.lists(
+            hs.tuples(
+                hs.sampled_from(["pass", "pdf", "cdf", "cdflib", "levels", "levels-cdflib"]),
+                hs.integers(0, len(_MEMO_LAWS) - 1),
+                hs.one_of(hs.floats(0.0, 4.0), hs.floats(1e-9, 1e-3), hs.just(1e-323)),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_property_memo_is_invisible(self, calls):
+        for kind, index, scale in calls:
+            df1, df2, lam = _MEMO_LAWS[index]
+            x = scale * (df1 + lam) / df1
+            if kind == "pdf" and not x > 0.0:
+                continue
+            # the first call meets what the last step left held, the second this law
+            first = _memo_call(kind, x, df1, df2, lam)
+            warm = _memo_call(kind, x, df1, df2, lam)
+            assert not any(a.flags.writeable for a in _memo_arrays())
+            specfun._MIXTURE_LAWS.clear()
+            specfun._CUMFNC_LAWS.clear()
+            assert _memo_call(kind, x, df1, df2, lam) == warm == first
+            for memo in (specfun._MIXTURE_LAWS, specfun._CUMFNC_LAWS):
+                # one law at most, only the one just called, and no long window
+                assert memo._last is None or memo._last[0] == (0.5 * df1, 0.5 * df2, 0.5 * lam)
+                assert memo._last is None or lam < 4e6
+
+    def test_a_batch_leaves_the_memo_alone(self):
+        for cdflib, memo in ((False, specfun._MIXTURE_LAWS), (True, specfun._CUMFNC_LAWS)):
+            _f_cdf_levels(3.0, 1.0, 14.0, [1500.0], cdflib=cdflib)
+            held, misses = memo._last, memo.misses
+            assert held is not None
+            _f_cdf_levels(3.0, 1.0, 14.0, [1000.0, 1500.0, 2000.0], cdflib=cdflib)
+            assert memo._last is held and memo.misses == misses
+
+    @pytest.mark.parametrize("cdflib", [False, True])
+    def test_a_long_window_is_not_kept(self, cdflib):
+        # past a group's terms a one-level call takes the batch path, and a
+        # pass builds a law for itself alone
+        memo = specfun._CUMFNC_LAWS if cdflib else specfun._MIXTURE_LAWS
+        memo.clear()
+        misses = memo.misses
+        _f_cdf_levels(1.0, 1.0, 199.0, [4e6], cdflib=cdflib)
+        assert memo._last is None and memo.misses == misses
+        if not cdflib:
+            specfun._f_cdf_pdf(4e6, NoncentralParams(1.0, 199.0, 4e6))
+            assert memo._last is None and memo.misses == misses + 1
