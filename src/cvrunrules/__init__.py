@@ -12,9 +12,9 @@ variates.  The item-by-item pipeline lives in the test suite, as the
 reference for that sampler.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
-from .cvdist import Cv2Moments, ProcessModel, cv2_cdf, cv2_moments, cv2_pdf, cv_cdf
+from .cvdist import Cv2Moments, ProcessModel, cv2_cdf, cv2_moments, cv2_pdf
 from .design import (
     DECREASING_SHIFTS,
     DEFAULT_ARL0,
@@ -57,7 +57,6 @@ __all__ = [
     "__version__",
     "ProcessModel",
     "Cv2Moments",
-    "cv_cdf",
     "cv2_cdf",
     "cv2_pdf",
     "cv2_moments",

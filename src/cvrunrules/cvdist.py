@@ -1,10 +1,9 @@
-"""Sampling distribution of the sample coefficient of variation and its
-square, plus second-moment approximations for the squared CV.
+"""Sampling distribution of the squared sample coefficient of variation,
+plus second-moment approximations for it.
 
-For a normal sample of size n with true CV gamma, the sample CV relates
-to a noncentral t variate and its square to a noncentral F variate:
+For a normal sample of size n with true CV gamma, the squared sample CV
+relates to a noncentral F variate:
 
-    F_cv(x)   = 1 - F_t(sqrt(n)/x | n-1, sqrt(n)/gamma)
     F_cv2(x)  = 1 - F_F(n/x | 1, n-1, n/gamma^2)
     f_cv2(x)  = (n/x^2) f_F(n/x | 1, n-1, n/gamma^2)
               = sum_j w_j (1/2 + j) T_j(n/x) / x
@@ -13,29 +12,23 @@ with the Poisson weights w_j and beta decrements T_j of ``specfun``.
 These forms are only trustworthy for gamma < 0.5; larger values are
 rejected unless explicitly forced (out-of-control evaluations can push
 the effective CV past the window and callers opt in knowingly).
-
-Every chart works through F_cv2 alone.  The t form, ``cv_cdf``, is
-deprecated since 0.3.0 and goes in the next release: F_cv2(x^2) is
-P(|CV| <= x), while F_cv(x) counts only the positive CVs.
+F_cv2(x^2) is P(|CV| <= x); every chart works through F_cv2 alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from math import sqrt
 from typing import Optional, Sequence
 
 from . import specfun
-from .errors import DomainError, GammaDomainError, as_integer
+from .errors import DomainError, GammaDomainError, as_integer, as_real
 from .specfun import NoncentralParams
 
 __all__ = [
     "GAMMA_VALIDITY_LIMIT",
     "ProcessModel",
     "Cv2Moments",
-    "cv_cdf",
     "cv2_cdf",
     "cv2_pdf",
     "cv2_moments",
@@ -53,9 +46,10 @@ _GAMMA_FLOOR = 1e-150
 _GAMMA_CEILING = 1e150
 
 
-def _check_gamma(gamma: float, force: Optional[bool] = None) -> None:
-    # ``force`` is the caller's own flag; None where it has none, and then
-    # the refusal offers none.
+def _check_gamma(gamma: float, force: Optional[bool] = None) -> float:
+    # ``gamma`` as a checked float.  ``force`` is the caller's own flag;
+    # None where it has none, and then the refusal offers none.
+    gamma = as_real(gamma, "gamma")
     if not _GAMMA_FLOOR <= gamma < math.inf:  # force opens the window, never to inf or NaN
         raise GammaDomainError(f"gamma must be finite and at least {_GAMMA_FLOOR}, got {gamma}")
     if not gamma < _GAMMA_CEILING:
@@ -65,14 +59,15 @@ def _check_gamma(gamma: float, force: Optional[bool] = None) -> None:
         raise GammaDomainError(
             f"gamma = {gamma} is outside the validity window [{_GAMMA_FLOOR}, {GAMMA_VALIDITY_LIMIT}){hint}"
         )
+    return gamma
 
 
-def _check_levels(n: int, gammas: Sequence[float], force: bool, profile: str) -> None:
+def _check_levels(n: int, gammas: Sequence[float], force: bool, profile: str) -> list[float]:
     as_integer(n, "subgroup size n", 2)
-    for gamma in gammas:
-        _check_gamma(gamma, force)
+    gammas = [_check_gamma(gamma, force) for gamma in gammas]
     if profile not in _PROFILES:
         raise DomainError(f"unknown profile {profile!r}, expected one of {_PROFILES}")
+    return gammas
 
 
 def _f_params(n: int, gamma: float) -> NoncentralParams:
@@ -103,31 +98,10 @@ class Cv2Moments:
             raise DomainError(f"moments must be positive and finite, got mean={self.mean}, std={self.std}")
 
 
-def cv_cdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
-    """P(0 < sample CV <= x) for x > 0, through the noncentral t CDF.
-
-    Deprecated since 0.3.0: use ``cv2_cdf(x * x, n, gamma)``, which is
-    P(|CV| <= x).  It exceeds this value by P(T < -sqrt(n)/x) <=
-    erfc(sqrt(n/2)/gamma)/2: at most 2.3e-3 at n = 2 and 3.9e-6 at n = 5
-    over the validity window.
-    """
-    warnings.warn(
-        "cvrunrules.cv_cdf is deprecated; use cv2_cdf(x * x, n, gamma)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    x = float(x)  # a numpy scalar would overflow sqrt(n)/x with a RuntimeWarning
-    as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma, force)
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    return 1.0 - specfun.noncentral_t_cdf(sqrt(n) / x, n - 1, sqrt(n) / gamma)
-
-
 def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str = "exact") -> float:
     """P(squared sample CV <= x); returns 0 for x <= 0 and 1 at +inf."""
-    x = float(x)  # a numpy scalar would overflow n/x with a RuntimeWarning
-    _check_levels(n, [gamma], force, profile)
+    x = as_real(x, "x")  # a numpy scalar would overflow n/x with a RuntimeWarning
+    (gamma,) = _check_levels(n, [gamma], force, profile)
     if x <= 0.0:
         return 0.0
     kernel = specfun.noncentral_f_cdf_cdflib if profile == "cdflib" else specfun.noncentral_f_cdf
@@ -138,7 +112,7 @@ def _cv2_cdf_levels(x: float, n: int, gammas: Sequence[float], *, profile: str =
     """``cv2_cdf`` with ``force=True`` at one x for each CV level in
     ``gammas``, in order, from one call of the batched kernel
     ``specfun._f_cdf_levels``."""
-    _check_levels(n, gammas, True, profile)
+    gammas = _check_levels(n, gammas, True, profile)
     if x <= 0.0:
         return [0.0] * len(gammas)
     lams = [n / (gamma * gamma) for gamma in gammas]
@@ -162,9 +136,9 @@ def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     n/x^2 factor overflows as x -> 0.  0.0 where n/x overflows or the
     density is below e^-700.
     """
-    x = float(x)  # a numpy scalar would overflow n/x with a RuntimeWarning
+    x = as_real(x, "x")  # a numpy scalar would overflow n/x with a RuntimeWarning
     as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma, force)
+    gamma = _check_gamma(gamma, force)
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     return specfun._f_pdf_over(n / x, _f_params(n, gamma), x)

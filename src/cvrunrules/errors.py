@@ -5,6 +5,7 @@ callers (and the CLI exit-code mapping) can distinguish bad inputs from
 numerical breakdown from infeasible chart designs.
 """
 
+import math
 import numbers
 
 
@@ -47,3 +48,16 @@ def as_integer(value: object, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def as_real(value: object, name: str) -> float:
+    """``value`` as a float; any real type but bool is accepted, and an
+    integer or fraction past the double range is an infinity."""
+    if type(value) is float:  # the common case, without the abstract-class check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -76,7 +76,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cvdist import _cv2_cdf_levels, cv2_cdf
-from .errors import ChainSingularError, DomainError, as_integer
+from .errors import ChainSingularError, DomainError, as_integer, as_real
 
 __all__ = [
     "Direction",
@@ -97,6 +97,10 @@ __all__ = [
 class Direction(str, enum.Enum):
     UPPER = "upper"
     LOWER = "lower"
+
+    @classmethod
+    def _missing_(cls, value: object) -> Direction:
+        raise DomainError(f"direction must be 'upper' or 'lower', got {value!r}")
 
 
 class RunLengthMethod(str, enum.Enum):
@@ -469,7 +473,7 @@ def _solve(rule: RunRule, ps: Sequence[float], *, with_z: bool) -> tuple[list[fl
     """The checked ps, the ARL at each and, ``with_z``, z/ARL (else the ARL
     again): the forward elimination on one stack, then the ARL from its
     last row, then back substitution and the z pass only if asked for."""
-    ps = [float(p) for p in ps]
+    ps = [as_real(p, "p") for p in ps]
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {p}")

@@ -1,29 +1,27 @@
-"""Special functions: regularized incomplete beta, noncentral t CDF,
-noncentral F CDF/PDF.
+"""Special functions: regularized incomplete beta, noncentral F CDF/PDF.
 
 All evaluators are pure deterministic functions targeting 1e-10 absolute
 accuracy or better.  Every exact noncentral mixture (the F CDF, the
-kernel of every chart evaluation, the F density and the t CDF behind
-``cv_cdf``) is made of four parts: one split of x into (u, v, log u,
-log v), ``_split``; one Poisson term window around the mode j0,
-``_poisson_window``: j0 +- (8.1 sqrt(lambda/2) + 22), outside which a
-Bernstein bound leaves at most 1e-14 of Poisson mass (Benton &
-Krishnamoorthy 2003, *CSDA* 43:249, on mode-centred evaluation); one
-recurrence, ``_log_terms``, for the logs of the beta decrements T_j =
-I_u(a0 + j, b) - I_u(a0 + j + 1, b) = u^a v^b / (a B(a, b)), a = a0 + j;
-and one normalised sum, ``_mixture_sum``.  Weights from j = 0 would
-underflow once lambda/2 > 745; from the mode they never do.  The CDFs'
-beta values are one continued fraction at the mode and partial sums of
-the T_j (``_beta_column``); the F density is sum_j w_j (a0 + j) T_j / x,
-so one column gives both (``_f_cdf_pdf``, the chart solver's Newton step);
-lambda = 0 is a window with weights 1, 0, 0, ...  A window longer than
-``_TERM_CAP`` raises EvaluationError before anything is allocated.
-Against a 40-digit mpmath sum the F CDF is within 1e-12 absolute for
-lambda up to 24 000, the density at the tested points within 1e-12
-relative; the t CDF is within 1e-13 of ``scipy.stats.nct`` for |delta|
-<= 60 and, out to delta = 2828, of the identity F_t(x) - F_F(x^2) =
-P(T < -x) to 1e-12.  The t CDF now serves only ``cvdist.cv_cdf``,
-deprecated since 0.3.0, and is removed with it.
+kernel of every chart evaluation, and the F density) is made of four
+parts: one split of x into (u, v, log u, log v), ``_split``; one Poisson
+term window around the mode j0, ``_poisson_window``: j0 +- (8.1
+sqrt(lambda/2) + 22), outside which a Bernstein bound leaves at most
+1e-14 of Poisson mass (Benton & Krishnamoorthy 2003, *CSDA* 43:249, on
+mode-centred evaluation); one recurrence, ``_log_terms``, for the logs of
+the beta decrements T_j = I_u(a0 + j, b) - I_u(a0 + j + 1, b) =
+u^a v^b / (a B(a, b)), a = a0 + j; and one sum over the window, normalised
+by its own weights (``_mixture_at``, ``_mixture_sum``).  Weights from
+j = 0 would underflow once lambda/2 > 745; from the mode they never do.
+The CDF's beta values are one continued fraction at the mode and partial
+sums of the T_j (``_beta_column``); the F density is
+sum_j w_j (a0 + j) T_j / x, so one column gives both (``_f_cdf_pdf``, the
+chart solver's Newton step); lambda = 0 is a window with weights 1, 0,
+0, ...  A window longer than ``_TERM_CAP`` raises EvaluationError before
+anything is allocated.  Against a 40-digit mpmath sum the F CDF is within
+1e-12 absolute for lambda up to 24 000, the density at the tested points
+within 1e-12 relative; and out to lambda = 8e6 (delta = 2828) the F CDF
+keeps the identity F_t(x) - F_F(x^2) = P(T < -x) with the noncentral t
+CDF of ``scipy.stats.nct`` to 1e-12.
 
 The F CDF is batched over lambda (``_f_cdf_levels``): at one x the beta
 values depend on the term index alone, so nodes whose windows overlap
@@ -70,7 +68,6 @@ from .errors import DomainError, EvaluationError
 __all__ = [
     "NoncentralParams",
     "reg_inc_beta",
-    "noncentral_t_cdf",
     "noncentral_f_cdf",
     "noncentral_f_pdf",
     "noncentral_f_cdf_cdflib",
@@ -107,12 +104,11 @@ _Factors = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class NoncentralParams:
-    """Degrees of freedom and noncentrality of a noncentral F (or t) law.
+    """Degrees of freedom and noncentrality of a noncentral F law.
 
     df1: numerator degrees of freedom (> 0)
     df2: denominator degrees of freedom (> 0)
-    noncentrality: lambda >= 0 for F; the t CDF takes a signed delta
-        directly and does not use this container.
+    noncentrality: lambda >= 0
     """
 
     df1: float
@@ -274,10 +270,9 @@ def _poisson_window(mu: float) -> tuple[int, int]:
     return max(0, int(mu - t)), int(mu + t) + 1
 
 
-def _poisson_weights(first: float, count: int, mu: float, mode: int) -> np.ndarray:
-    """Weights mu^j / Gamma(j + 1) of the ``count`` terms j = first,
-    first + 1, ... (integers for the Poisson(mu) law, half-integers for the
-    t CDF's odd terms) relative to the one at index ``mode``.
+def _poisson_weights(first: int, count: int, mu: float, mode: int) -> np.ndarray:
+    """Poisson(mu) weights mu^j / j! of the ``count`` terms j = first,
+    first + 1, ... relative to the one at index ``mode``.
 
     The weights are cumulative products of their ratios from the mode,
     (j + 1) / mu below it and mu / j above, which avoids the lgamma
@@ -294,47 +289,6 @@ def _poisson_weights(first: float, count: int, mu: float, mode: int) -> np.ndarr
     np.multiply.accumulate(below, out=below)
     np.multiply.accumulate(above, out=above)
     return weights
-
-
-def noncentral_t_cdf(x: float, nu: float, delta: float) -> float:
-    """CDF of the noncentral t distribution with nu d.o.f. and
-    noncentrality delta, evaluated at x.
-
-    For x > 0, with mu = delta^2 / 2 and y = x^2 / (x^2 + nu),
-
-        F(x) = Phi(-delta) + (S1 + erf(delta / sqrt 2) S2) / 2,
-
-    where S1 is the Poisson(mu) mixture of I_y(1/2 + j, nu/2) and S2 the
-    mixture of I_y(1 + j, nu/2) with the weights mu^(j+1/2) / Gamma(j + 3/2),
-    which sum to e^mu erf(sqrt mu): the F CDF's window, beta column and
-    normalised sum, with the odd weights stepped from j + 1/2.  Values
-    for x < 0 use the reflection F(x; nu, delta) = 1 - F(-x; nu, -delta).
-
-    Raises EvaluationError, before any work, when the window exceeds
-    ``_TERM_CAP`` terms.
-    """
-    if not 0.0 < nu < math.inf:
-        raise DomainError(f"nu must be positive and finite, got {nu}")
-    if math.isnan(x) or not math.isfinite(delta):
-        raise DomainError(f"x must not be NaN and delta must be finite, got x={x}, delta={delta}")
-    if x < 0.0:
-        return 1.0 - noncentral_t_cdf(-x, nu, -delta)
-    z = delta / sqrt(2.0)
-    phi_neg_delta = 0.5 * math.erfc(z)
-    # y is the F CDF's u at x^2 and df1 = 1: S1 is its sum
-    split = _split(x * x, nu)
-    y, v = split[:2]
-    if not v > 0.0:  # x^2 overflowed; y rounds to 1 long before, but v still holds the tail
-        return 1.0
-    if y <= 0.0:
-        return phi_neg_delta
-    b = 0.5 * nu
-    mu = 0.5 * delta * delta
-    lo, hi = _poisson_window(mu)
-    mode, count = int(mu) - lo, hi - lo + 1
-    s1 = _mixture_sum(lo, _beta_column(lo, count, mode, 0.5, b, split)[0], mu, mode)
-    s2 = _mixture_sum(lo + 0.5, _beta_column(lo, count, mode, 1.0, b, split)[0], mu, mode)
-    return min(max(phi_neg_delta + 0.5 * (s1 + math.erf(z) * s2), 0.0), 1.0)
 
 
 def noncentral_f_cdf(x: float, p: NoncentralParams) -> float:
@@ -527,9 +481,10 @@ def _mixture_sums(
     return totals
 
 
-def _mixture_sum(first: float, column: np.ndarray, mu: float, mode: int) -> float:
+def _mixture_sum(first: int, column: np.ndarray, mu: float, mode: int) -> float:
     # The Poisson(mu) mixture of ``column`` at the terms j = first, first + 1, ...,
-    # weights normalised over them.
+    # weights normalised over them.  Its own frame frees the weights before
+    # the next node allocates its own.
     weights = _poisson_weights(first, len(column), mu, mode)
     mass = float(weights.sum())
     # A plain product and sum: a BLAS dot of a long window wakes every BLAS

@@ -169,7 +169,7 @@ class TestConfigSchema:
             ),
             pytest.param(
                 lambda doc: doc["rules"][0].update(direction="sideways"),
-                "rules[0]: 'sideways' is not a valid Direction",
+                "rules[0]: direction must be 'upper' or 'lower', got 'sideways'",
                 id="unknown-direction",
             ),
             pytest.param(

@@ -12,18 +12,11 @@ from cvrunrules.cvdist import (
     cv2_cdf,
     cv2_moments,
     cv2_pdf,
-    cv_cdf,
     moments_for_gamma,
 )
 from cvrunrules.errors import DomainError, GammaDomainError
 
 CROSS_LAW_ATOL = 1e-9
-
-
-def deprecated_cv_cdf(*args, **kwargs):
-    # cv_cdf warns on every call since 0.3.0; its values are still checked
-    with pytest.deprecated_call():
-        return cv_cdf(*args, **kwargs)
 
 
 def nct_cv_cdf(x, n, gamma):
@@ -72,53 +65,18 @@ class TestProcessModel:
 
 
 class TestCvCdf:
-    def test_monotone_grid(self):
-        xs = np.linspace(0.01, 1.0, 60)
-        vals = [deprecated_cv_cdf(float(x), 5, 0.1) for x in xs]
-        assert all(0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_median_consistency(self):
-        # invert the CDF at 0.5 by bisection, then check the value
-        lo, hi = 1e-4, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if deprecated_cv_cdf(mid, 5, 0.1) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        assert deprecated_cv_cdf(0.5 * (lo + hi), 5, 0.1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_frozen_value(self):
-        # mpmath series oracle (50 digits)
-        assert deprecated_cv_cdf(0.12, 5, 0.1) == pytest.approx(0.77965356803926500, abs=1e-10)
-
-    @pytest.mark.slow
-    def test_simulation_oracle(self):
-        rng = np.random.default_rng(20240101)
-        reps = 10_000_000
-        cv = simulate_cv(rng, reps, 5, 0.1)
-        x = 0.12
-        emp = (cv <= x).mean()
-        se = math.sqrt(emp * (1 - emp) / reps)
-        assert abs(deprecated_cv_cdf(x, 5, 0.1) - emp) <= 3 * se
-
-    def test_force_window(self):
-        with pytest.raises(GammaDomainError):
-            deprecated_cv_cdf(0.5, 5, 0.6)
-        assert 0.0 <= deprecated_cv_cdf(0.5, 5, 0.6, force=True) <= 1.0
+    """The gamma window of both CV² laws, ``cv2_cdf`` and ``cv2_pdf``."""
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_force_never_admits_non_finite(self, gamma):
-        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
+        for law in (cv2_cdf, cv2_pdf):
             with pytest.raises(GammaDomainError, match="finite"):
                 law(0.5, 5, gamma, force=True)
 
     @pytest.mark.parametrize("gamma", [1e-300, 1e-320])
     def test_gamma_whose_square_underflows_rejected(self, gamma):
-        # gamma^2 underflows to 0: n / gamma^2 divided by zero (cv2_cdf,
-        # cv2_pdf) and the noncentrality went NaN (cv_cdf)
-        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
+        # gamma^2 underflows to 0: n / gamma^2 divided by zero
+        for law in (cv2_cdf, cv2_pdf):
             with pytest.raises(GammaDomainError, match="at least 1e-150"):
                 law(0.5, 5, gamma)
         with pytest.raises(GammaDomainError):
@@ -128,14 +86,13 @@ class TestCvCdf:
     def test_gamma_whose_square_overflows_rejected(self, gamma):
         # gamma^2 overflowed in n / gamma^2: inf for a float, a RuntimeWarning
         # for a numpy scalar, and a law of noncentrality 0 either way
-        for law in (deprecated_cv_cdf, cv2_cdf, cv2_pdf):
+        for law in (cv2_cdf, cv2_pdf):
             for wrap in (float, np.float64):
                 with pytest.raises(GammaDomainError, match=r"gamma must be below 1e\+150 for its square to stay finite"):
                     law(0.5, 5, wrap(gamma), force=True)
 
     def test_gamma_just_below_the_ceiling_accepted(self):
         gamma = math.nextafter(1e150, 0.0)
-        assert 0.0 <= deprecated_cv_cdf(0.5, 5, gamma, force=True) <= 1.0
         assert 0.0 <= cv2_cdf(0.5, 5, gamma, force=True) <= 1.0
         assert 0.0 <= cv2_pdf(0.5, 5, gamma, force=True) < math.inf
 

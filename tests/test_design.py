@@ -1,6 +1,5 @@
 """Chart design, shift evaluation, EARL quadrature and grid sweeps."""
 
-import contextlib
 import functools
 import itertools
 import math
@@ -29,7 +28,7 @@ from cvrunrules.design import (
     solve_design,
     sweep,
 )
-from cvrunrules.errors import CvRunRulesError, DomainError, UnattainableDesignError
+from cvrunrules.errors import CvRunRulesError, DomainError, GammaDomainError, UnattainableDesignError
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
 from cvrunrules.runrules import Direction, RunRule
 
@@ -898,11 +897,11 @@ class TestTypedFailures:
             assert ShiftSpec.from_ab(wrap(a), wrap(b), wrap(gamma0)).tau == tau
         assert 0.0 < tau < math.inf
 
-    # cvdist's and runrules' public surface: the three laws, the process
+    # cvdist's and runrules' public surface: the two laws, the process
     # model and its moments, the inside probability and the chain's metrics
     @settings(max_examples=400)
     @given(
-        law=hs.sampled_from(["cv_cdf", "cv2_cdf", "cv2_pdf"]),
+        law=hs.sampled_from(["cv2_cdf", "cv2_pdf"]),
         x=hs.sampled_from(EDGE_FLOATS + [0.01, 0.3]),
         gamma=hs.sampled_from(EDGE_FLOATS + [0.05, 0.1, 0.49]),
         force=hs.booleans(),
@@ -911,8 +910,6 @@ class TestTypedFailures:
     )
     @example(law="cv2_cdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
     @example(law="cv2_pdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
-    @example(law="cv_cdf", x=1e-320, gamma=0.1, force=False, profile="exact", as_numpy=True)
-    @example(law="cv_cdf", x=1e-300, gamma=0.1, force=False, profile="exact", as_numpy=True)
     @example(law="cv2_cdf", x=0.5, gamma=1e300, force=True, profile="cdflib", as_numpy=True)
     def test_cv_laws(self, law, x, gamma, force, profile, as_numpy):
         from cvrunrules import cvdist
@@ -922,9 +919,7 @@ class TestTypedFailures:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                # cv_cdf warns on every call since 0.3.0
-                with pytest.deprecated_call() if law == "cv_cdf" else contextlib.nullcontext():
-                    value = getattr(cvdist, law)(wrap(x), 5, wrap(gamma), **kwargs)
+                value = getattr(cvdist, law)(wrap(x), 5, wrap(gamma), **kwargs)
             except CvRunRulesError:
                 return
         assert 0.0 <= value < math.inf
@@ -1011,6 +1006,60 @@ class TestTypedFailures:
         assert all(type(d.k) is float and type(d.limit) is float for d in charts)
         assert answers[0] == answers[1]
         assert answers[0][0] == 2.0 and answers[0][1] == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: cvrunrules.cv2_cdf("0.1", 5, 0.1), id="cv2_cdf-x-string"),
+            pytest.param(lambda: cvrunrules.cv2_cdf(None, 5, 0.1), id="cv2_cdf-x-none"),
+            pytest.param(lambda: cvrunrules.cv2_cdf(True, 5, 0.1), id="cv2_cdf-x-bool"),
+            pytest.param(lambda: cvrunrules.cv2_cdf(0.1, 5, "0.1"), id="cv2_cdf-gamma-string"),
+            pytest.param(lambda: cvrunrules.cv2_pdf("0.1", 5, 0.1), id="cv2_pdf-x-string"),
+            pytest.param(lambda: cvrunrules.cv2_pdf(0.1, 5, "0.1"), id="cv2_pdf-gamma-string"),
+            pytest.param(lambda: ProcessModel("0.1", 5), id="process-model-gamma0-string"),
+            pytest.param(
+                lambda: cvrunrules.in_control_prob(Direction.UPPER, "0.1", 5, 0.1), id="in_control_prob-limit-string"
+            ),
+            pytest.param(
+                lambda: cvrunrules.run_length_metrics(rule(2, 3, "upper"), ["0.9"]), id="run_length_metrics-p-string"
+            ),
+            pytest.param(
+                lambda: cvrunrules.run_length_metrics(rule(2, 3, "upper"), np.ones((2, 2)) * 0.5),
+                id="run_length_metrics-p-rows",
+            ),
+        ],
+    )
+    def test_non_numbers_refused(self, call):
+        # float() would parse a string or a bool as a number, and a None, a
+        # string gamma or an array row failed with a bare TypeError
+        with pytest.raises(DomainError, match="must be a real number, got "):
+            call()
+
+    def test_real_types_accepted(self):
+        # each is read as the double it equals; a float32 gamma is not
+        # squared in float32 arithmetic
+        from fractions import Fraction
+
+        gamma = np.float32(0.1)
+        for law in (cvrunrules.cv2_cdf, cvrunrules.cv2_pdf):
+            assert law(Fraction(3, 200), 5, gamma) == law(0.015, 5, float(gamma))
+
+    def test_integers_past_the_double_range(self):
+        # float() raised a bare OverflowError; each is now an infinity
+        big = 10**400
+        assert cvrunrules.cv2_cdf(big, 5, 0.1) == 1.0 and cvrunrules.cv2_cdf(-big, 5, 0.1) == 0.0
+        with pytest.raises(GammaDomainError, match="finite"):
+            cvrunrules.cv2_pdf(0.1, 5, big, force=True)
+        with pytest.raises(DomainError, match=r"p must lie in \[0, 1\], got inf"):
+            cvrunrules.run_length_metrics(rule(2, 3, "upper"), [big])
+
+    def test_unknown_direction_refused(self):
+        for call in (
+            lambda: RunRule(2, 3, "sideways"),
+            lambda: cvrunrules.in_control_prob("sideways", 0.1, 5, 0.1),
+        ):
+            with pytest.raises(DomainError, match="^direction must be 'upper' or 'lower', got 'sideways'$"):
+                call()
 
 
 class TestSweep:

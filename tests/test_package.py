@@ -1,6 +1,8 @@
 """The package's public surface and its release number."""
 
+import importlib
 import os
+import pkgutil
 
 import pytest
 
@@ -13,7 +15,7 @@ PUBLIC_NAMES = (
     "DEFAULT_ARL0", "Direction", "DomainError", "EvaluationError", "GammaDomainError", "INCREASING_SHIFTS",
     "MeasurementErrorModel", "MonitorTrace", "PhaseIIRecord", "PhaseIISeries", "ProcessModel", "RunLengthMethod",
     "RunLengthMetrics", "RunRule", "ShiftRange", "ShiftSpec", "SimConfig", "UnattainableDesignError", "__version__",
-    "arl_at_shift", "cv2_cdf", "cv2_moments", "cv2_pdf", "cv_cdf", "earl", "estimate_run_length", "in_control_prob",
+    "arl_at_shift", "cv2_cdf", "cv2_moments", "cv2_pdf", "earl", "estimate_run_length", "in_control_prob",
     "monitor", "monitor_values", "observed_cv_incontrol", "observed_cv_shifted", "read_phase2_csv",
     "run_length_metrics", "shift_from_ab", "simulate_subgroups", "solve_design", "sweep",
 )
@@ -26,6 +28,20 @@ def test_public_names_are_pinned():
         assert hasattr(cvrunrules, name), name
 
 
+def _submodules_with_all():
+    names = [f"cvrunrules.{info.name}" for info in pkgutil.iter_modules(cvrunrules.__path__)]
+    return [name for name in names if hasattr(importlib.import_module(name), "__all__")]
+
+
+@pytest.mark.parametrize("module", _submodules_with_all())
+def test_module_all_names_resolve(module):
+    # a stale name in __all__ breaks `from <module> import *`; a repeated one
+    # hides that the list was edited carelessly
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__), sorted({n for n in mod.__all__ if mod.__all__.count(n) > 1})
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -33,7 +49,7 @@ def test_version_matches_pyproject():
         assert tomllib.load(fh)["project"]["version"] == cvrunrules.__version__
 
 
-@pytest.mark.parametrize("name", ["runrules.build_chain", "runrules.arl", "cv_cdf"])
+@pytest.mark.parametrize("name", ["runrules.build_chain", "runrules.arl"])
 def test_deprecations_use_the_filtered_wording(name):
     # pyproject.toml turns only this wording into an error: a deprecation
     # worded otherwise would let a test call the name unnoticed
@@ -43,7 +59,6 @@ def test_deprecations_use_the_filtered_wording(name):
     calls = {
         "runrules.build_chain": lambda: runrules.build_chain(rule, 0.9),
         "runrules.arl": lambda: runrules.arl(chain),
-        "cv_cdf": lambda: cvrunrules.cv_cdf(0.12, 5, 0.1),
     }
     with pytest.warns(DeprecationWarning, match=r"^cvrunrules\.\S+ is deprecated") as record:
         calls[name]()

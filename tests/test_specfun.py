@@ -1,9 +1,9 @@
 """Special-function kernel tests.
 
 Reference values were precomputed with 50-digit mpmath: the incomplete
-beta by adaptive quadrature of the beta integrand, the noncentral t and F
-CDFs by Poisson-mixture series with 1e-16 term tolerance summed around
-the mixture mode.
+beta by adaptive quadrature of the beta integrand, the noncentral F CDF
+by a Poisson-mixture series with 1e-16 term tolerance summed around the
+mixture mode.
 """
 
 import math
@@ -23,7 +23,6 @@ from cvrunrules.specfun import (
     noncentral_f_cdf,
     noncentral_f_cdf_cdflib,
     noncentral_f_pdf,
-    noncentral_t_cdf,
     reg_inc_beta,
 )
 
@@ -231,71 +230,6 @@ class TestRegIncBeta:
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-class TestNoncentralT:
-    def test_central_symmetric(self):
-        assert noncentral_t_cdf(0.0, 4.0, 0.0) == pytest.approx(0.5, abs=KERNEL_ATOL)
-        # x^2 underflows to 0: the value at x = 0, Phi(-delta)
-        assert noncentral_t_cdf(1e-200, 4.0, 1.0) == 0.5 * math.erfc(1.0 / math.sqrt(2.0))
-
-    def test_limit_to_one(self):
-        assert noncentral_t_cdf(1e12, 4.0, 3.0) == pytest.approx(1.0, abs=1e-12)
-        assert noncentral_t_cdf(1e200, 4.0, 3.0) == noncentral_t_cdf(math.inf, 4.0, 3.0) == 1.0
-        # y = x^2 / (x^2 + nu) rounds to 1 here, but P(T > x) = 2.66e-6:
-        # 1 - int_{-delta}^inf phi(z) erf((z + delta) / (x sqrt 2)) dz (40-digit
-        # mpmath quadrature)
-        assert noncentral_t_cdf(3e8, 1.0, 1e3) == pytest.approx(0.99999734038479732871, abs=CDF_ATOL)
-
-    def test_series_oracle(self):
-        assert noncentral_t_cdf(1.5, 7.0, 2.1) == pytest.approx(0.27135990440121613806, abs=CDF_ATOL)
-
-    def test_large_delta(self):
-        # delta = sqrt(2000); mixture mode near j = 1000
-        delta = math.sqrt(2000.0)
-        assert noncentral_t_cdf(50.0, 14.0, delta) == pytest.approx(0.6694649184569313, abs=CDF_ATOL)
-
-    def test_negative_argument_reflection(self):
-        nu, delta = 6.0, 1.3
-        for x in (0.5, 1.0, 2.5):
-            assert noncentral_t_cdf(-x, nu, delta) == pytest.approx(
-                1.0 - noncentral_t_cdf(x, nu, -delta), abs=1e-12
-            )
-
-    def test_monotone_in_x(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            nu = rng.uniform(2.0, 30.0)
-            delta = rng.uniform(0.0, 60.0)
-            xs = np.sort(rng.uniform(-5.0, delta + 50.0, size=12))
-            vals = [noncentral_t_cdf(float(x), nu, delta) for x in xs]
-            assert all(0.0 <= v <= 1.0 for v in vals)
-            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_f_identity_at_large_delta(self):
-        # F_t(x) - F_F(x^2; 1, n - 1, delta^2) = P(T < -x), which lies in
-        # [0, Phi(-delta)]; the chart grid's delta reaches 2828 (n = 200,
-        # gamma = 0.005), where lgamma differences lose digits
-        for n in (50, 100, 200):
-            for gamma in (0.005, 0.01, 0.02, 0.05):
-                delta = math.sqrt(n) / gamma
-                p = NoncentralParams(1.0, n - 1.0, n / gamma**2)
-                for r in (0.8, 0.9, 1.0, 1.1, 1.25):
-                    x = math.sqrt(n) / (gamma * r)
-                    diff = noncentral_t_cdf(x, n - 1.0, delta) - noncentral_f_cdf(x * x, p)
-                    assert -1e-12 <= diff <= 0.5 * math.erfc(delta / math.sqrt(2.0)) + 1e-12, (n, gamma, r, diff)
-
-    def test_huge_delta_fails_fast(self):
-        # ~1.7e8 terms at delta = 1.5e7, as the F CDF's test_huge_lambda_fails_fast
-        assert_fails_fast(lambda: noncentral_t_cdf(1e7, 4.0, 1.5e7))
-        assert_fails_fast(lambda: noncentral_t_cdf(1e9, 4.0, 1e9))  # x^2 / (x^2 + nu) rounds to 1
-
-    def test_bad_nu(self):
-        with pytest.raises(DomainError):
-            noncentral_t_cdf(1.0, 0.0, 1.0)
-        for args in ((1.0, math.inf, 1.0), (math.nan, 4.0, 1.0), (1.0, 4.0, math.nan), (1.0, 4.0, math.inf)):
-            with pytest.raises(DomainError):
-                noncentral_t_cdf(*args)
-
-
 class TestNoncentralFCdf:
     def test_support_boundary(self):
         p = NoncentralParams(1.0, 4.0, 5.0)
@@ -399,6 +333,22 @@ class TestNoncentralFCdf:
         p = NoncentralParams(1.0, df2, lam)
         for x in lam * np.array([0.9, 0.95, 0.99, 1.0, 1.01, 1.05, 1.1]):
             assert noncentral_f_cdf(float(x), p) == pytest.approx(st.ncf.cdf(x, 1.0, df2, lam), abs=1e-11)
+
+    def test_f_identity_at_large_delta(self):
+        # F_t(x) - F_F(x^2; 1, n - 1, delta^2) = P(T < -x), which lies in
+        # [0, Phi(-delta)], with scipy's noncentral t as F_t; the chart
+        # grid's delta reaches 2828 (n = 200, gamma = 0.005), where lgamma
+        # differences lose digits
+        from scipy.stats import nct
+
+        for n in (50, 100, 200):
+            for gamma in (0.005, 0.01, 0.02, 0.05):
+                delta = math.sqrt(n) / gamma
+                p = NoncentralParams(1.0, n - 1.0, n / gamma**2)
+                for r in (0.8, 0.9, 1.0, 1.1, 1.25):
+                    x = math.sqrt(n) / (gamma * r)
+                    diff = nct.cdf(x, n - 1, delta) - noncentral_f_cdf(x * x, p)
+                    assert -1e-12 <= diff <= 0.5 * math.erfc(delta / math.sqrt(2.0)) + 1e-12, (n, gamma, r, diff)
 
     def test_huge_lambda_fails_fast(self):
         # the window length (~1.1e8 terms at lambda = 1e14) is known before
