@@ -65,6 +65,8 @@ _MONITOR_COLUMNS = ("rule", "direction", "limit", "index", "cv2", "outside", "fi
 # monitor's table is a summary, one row per chart
 _MONITOR_SUMMARY_COLUMNS = ("rule", "direction", "limit", "first_signal", "run_start")
 _DENSITY_COLUMNS = ("gamma0", "n", "x", "pdf")
+# density's grid points per gamma0; more are refused before any allocation
+_MAX_POINTS = 10**5
 # sweep writes SWEEP_COLUMNS; its model axes come from these options:
 # (axis of ``sweep``'s grid, CLI option, value type, config default)
 _SWEEP_OPTIONS = (
@@ -252,14 +254,12 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[Sequence[str], list]:
         raise ConfigError(f"--rule: expected r,s,direction, got {args.rule!r} ({exc})") from exc
     if wanted not in cfg.rules:
         raise ConfigError(f"--rule {args.rule!r} is not among the configured rules")
-    if args.replications < 1:
-        raise ConfigError("--replications must be >= 1")
+    sim = SimConfig(replications=args.replications, seed=args.seed, max_run_length=args.max_run_length)
     design = _design_for(cfg, wanted, args.cdf)
     shift = ShiftSpec.from_tau(args.tau, cfg.process.gamma0, b=args.b)
     # the exact ARL first: a chart that never signals fails here at once,
     # not after max_run_length steps of every replication
     exact = arl_at_shift(design, cfg.process, cfg.measurement_error, shift, profile=args.cdf)
-    sim = SimConfig(replications=args.replications, seed=args.seed, max_run_length=args.max_run_length)
     mc = estimate_run_length(design, cfg.process, cfg.measurement_error, shift, sim)
     row = (*_chart(wanted), args.tau, mc.arl, mc.sdrl, mc.stderr, mc.truncated, exact.arl, args.seed, args.replications)
     return _SIMULATE_COLUMNS, [row]
@@ -289,8 +289,8 @@ def _cmd_monitor(args: argparse.Namespace) -> tuple[Sequence[str], list]:
 
 
 def _cmd_density(args: argparse.Namespace) -> tuple[Sequence[str], list]:
-    if args.points < 1:
-        raise ConfigError("--points must be >= 1")
+    if not 1 <= args.points <= _MAX_POINTS:
+        raise ConfigError(f"--points must be >= 1 and <= {_MAX_POINTS}, got {args.points}")
     if args.x_max is not None and not 0.0 < args.x_max < math.inf:
         raise ConfigError(f"--x-max must be positive and finite, got {args.x_max}")
     rows = []

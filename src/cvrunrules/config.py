@@ -3,22 +3,21 @@
 A JSON file bundles the process model, an optional measurement-error
 model, the run rules to design, and the in-control ARL target.  The
 schema is strict: unknown keys anywhere are rejected, every numeric field
-must be a finite JSON number (a string or a boolean is refused), and
-precomputed limits (when given) must name a rule that is actually
-configured.
+must be a finite JSON number, read by the one rule of ``errors.py`` (a
+string or a boolean is refused), and precomputed limits (when given)
+must name a rule that is actually configured.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .cvdist import ProcessModel
 from .design import DEFAULT_ARL0
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_real, is_number
 from .merror import MeasurementErrorModel
 from .runrules import Direction, RunRule
 
@@ -45,14 +44,10 @@ def _limit_label(rule: RunRule) -> str:
 
 
 def _require_finite(value: object, where: str) -> float:
-    """``value`` as a finite float; any real type but bool is accepted, so
-    a JSON string or ``true`` is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` as a finite float, by the rule of ``errors.as_real``."""
+    if not is_number(type(value)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the double range
-        value = math.inf
+    value = as_real(value, where)
     if not math.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {value}")
     return value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import specfun
-from .errors import DomainError, GammaDomainError, as_integer, as_real
+from .errors import DomainError, GammaDomainError, as_integer, as_real, store_reals
 from .specfun import NoncentralParams
 
 __all__ = [
@@ -83,7 +83,7 @@ class ProcessModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_integer(self.n, "subgroup size n", 2))
-        _check_gamma(self.gamma0)
+        object.__setattr__(self, "gamma0", _check_gamma(self.gamma0))
 
 
 @dataclass(frozen=True)
@@ -94,13 +94,14 @@ class Cv2Moments:
     std: float
 
     def __post_init__(self) -> None:
+        store_reals(self, "mean", "std")
         if not (0 < self.mean < math.inf and 0 < self.std < math.inf):
             raise DomainError(f"moments must be positive and finite, got mean={self.mean}, std={self.std}")
 
 
 def cv2_cdf(x: float, n: int, gamma: float, *, force: bool = False, profile: str = "exact") -> float:
     """P(squared sample CV <= x); returns 0 for x <= 0 and 1 at +inf."""
-    x = as_real(x, "x")  # a numpy scalar would overflow n/x with a RuntimeWarning
+    x = as_real(x, "x")
     (gamma,) = _check_levels(n, [gamma], force, profile)
     if x <= 0.0:
         return 0.0
@@ -136,9 +137,8 @@ def cv2_pdf(x: float, n: int, gamma: float, *, force: bool = False) -> float:
     n/x^2 factor overflows as x -> 0.  0.0 where n/x overflows or the
     density is below e^-700.
     """
-    x = as_real(x, "x")  # a numpy scalar would overflow n/x with a RuntimeWarning
-    as_integer(n, "subgroup size n", 2)
-    gamma = _check_gamma(gamma, force)
+    x = as_real(x, "x")
+    (gamma,) = _check_levels(n, [gamma], force, "exact")
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x}")
     return specfun._f_pdf_over(n / x, _f_params(n, gamma), x)
@@ -148,7 +148,7 @@ def moments_for_gamma(gamma: float, n: int) -> Cv2Moments:
     """Second-moment approximation of the squared sample CV at a CV level
     in the validity window (bias-corrected mean, matched variance)."""
     as_integer(n, "subgroup size n", 2)
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     g2 = gamma * gamma
     mean = g2 * (1.0 - 3.0 * g2 / n)
     mse = g2 * g2 * (2.0 / (n - 1) + g2 * (4.0 / n + 20.0 / (n * (n - 1)) + 75.0 * g2 / (n * n)))

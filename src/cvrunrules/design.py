@@ -48,7 +48,8 @@ import numpy as np
 
 from . import cvdist, merror, runrules
 from .cvdist import Cv2Moments, ProcessModel, moments_for_gamma
-from .errors import ChainSingularError, CvRunRulesError, DomainError, GammaDomainError, UnattainableDesignError, as_integer
+from .errors import ChainSingularError, CvRunRulesError, DomainError, GammaDomainError, UnattainableDesignError
+from .errors import as_integer, as_real, store_reals
 from .merror import MeasurementErrorModel, ShiftSpec
 from .runrules import Direction, RunLengthMetrics, RunRule
 
@@ -88,9 +89,7 @@ class ChartDesign:
     moments: Cv2Moments
 
     def __post_init__(self) -> None:
-        # numpy scalars would overflow the CV^2 law's n / limit with a RuntimeWarning
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "limit", float(self.limit))
+        store_reals(self, "k", "limit", "arl0_target")
         if not (math.isfinite(self.k) and math.isfinite(self.limit)):
             raise DomainError(f"k and limit must be finite, got k={self.k}, limit={self.limit}")
         expected = _limit_for(self.k, self.rule.direction, self.moments)
@@ -102,7 +101,7 @@ class ChartDesign:
     @classmethod
     def from_limit(cls, rule: RunRule, limit: float, moments: Cv2Moments, arl0: float) -> "ChartDesign":
         """A chart with a given control limit; k is recovered from the moments."""
-        sign = -1.0 if rule.direction is Direction.LOWER else 1.0
+        sign, limit = -1.0 if rule.direction is Direction.LOWER else 1.0, as_real(limit, "limit")
         k = sign * (limit - moments.mean) / moments.std
         return cls(rule=rule, k=k, limit=limit, arl0_target=arl0, moments=moments)
 
@@ -115,6 +114,7 @@ class ShiftRange:
     hi: float
 
     def __post_init__(self) -> None:
+        store_reals(self, "lo", "hi")
         if not (0.0 < self.lo < self.hi < math.inf):
             raise DomainError(f"need 0 < lo < hi < inf, got [{self.lo}, {self.hi}]")
 
@@ -247,6 +247,7 @@ def solve_design(
     true one in both the moments and the plotted-statistic law; the
     identity model reproduces the error-free design exactly.
     """
+    arl0 = as_real(arl0, "arl0")
     if not 1.0 < arl0 < math.inf:
         raise DomainError(f"arl0 must be finite and exceed 1, got {arl0}")
     gamma_in, moments = _incontrol_moments(pm, me)
@@ -411,7 +412,7 @@ def earl(
     """
     x, w = _gauss_legendre(_check_nodes(nodes))
     me = me if me is not None else MeasurementErrorModel.identity()
-    lo, hi, b = float(shift_range.lo), float(shift_range.hi), float(b)
+    lo, hi, b = shift_range.lo, shift_range.hi, as_real(b, "b")
     half_width = 0.5 * (hi - lo)
     taus = half_width * x + 0.5 * (hi + lo)
     # Every refusal of a node's shift and observed CV is monotone in tau, so
@@ -422,7 +423,7 @@ def earl(
     probs = runrules._in_control_probs(design.rule.direction, design.limit, pm.n, gammas, profile=profile)
     arls = runrules._arls(design.rule, probs)
     total = 0.0
-    for wi, mean_rl in zip(w, arls):
+    for wi, mean_rl in zip(w.tolist(), arls):
         total += wi * mean_rl
     # weights integrate to the interval length; uniform density divides it out
     return total * half_width / (hi - lo)
@@ -477,7 +478,7 @@ def sweep(
 
     # (tau, omega_lo, omega_hi) per shift cell
     if taus is not None:
-        shift_cells = [(float(tau), None, None) for tau in taus]
+        shift_cells = [(as_real(tau, "tau"), None, None) for tau in taus]
     else:
         nodes = _check_nodes(nodes)
         shift_cells = [(None, lo, hi) for lo, hi in omegas]

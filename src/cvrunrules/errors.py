@@ -3,8 +3,15 @@
 Public functions raise these instead of bare ValueError/RuntimeError so
 callers (and the CLI exit-code mapping) can distinguish bad inputs from
 numerical breakdown from infeasible chart designs.
+
+Every number the package is given passes one type test, ``is_number``:
+any real (or integral) type but bool, so a string is refused, never
+parsed.  ``as_real`` reads a real as the float its caller then keeps (a
+numpy scalar would overflow with a RuntimeWarning), and an integer past
+the double range as an infinity.
 """
 
+import functools
 import math
 import numbers
 
@@ -43,9 +50,16 @@ class ConfigError(CvRunRulesError, ValueError):
     """A configuration document violates the schema."""
 
 
+@functools.lru_cache
+def is_number(cls: type, integral: bool = False) -> bool:
+    """Whether values of type ``cls`` are real numbers (integers if
+    ``integral``); a bool never is."""
+    return issubclass(cls, numbers.Integral if integral else numbers.Real) and not issubclass(cls, bool)
+
+
 def as_integer(value: object, name: str, minimum: int) -> int:
     """``value`` as an int; any integral type but bool is accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if not is_number(type(value), True) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -53,11 +67,18 @@ def as_integer(value: object, name: str, minimum: int) -> int:
 def as_real(value: object, name: str) -> float:
     """``value`` as a float; any real type but bool is accepted, and an
     integer or fraction past the double range is an infinity."""
-    if type(value) is float:  # the common case, without the abstract-class check
+    if type(value) is float:  # the common case, without the type test
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(type(value)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def store_reals(obj: object, *fields: str) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to its
+    ``as_real`` float, named in errors with spaces for underscores."""
+    for field in fields:
+        object.__setattr__(obj, field, as_real(getattr(obj, field), field.replace("_", " ")))

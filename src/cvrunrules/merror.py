@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvdist import _check_gamma
-from .errors import DomainError, as_integer
+from .errors import DomainError, as_integer, as_real, store_reals
 
 __all__ = [
     "MeasurementErrorModel",
@@ -64,12 +64,10 @@ class MeasurementErrorModel:
     reps: int = 1
 
     def __post_init__(self) -> None:
+        store_reals(self, "theta", "eta", "slope")
         for name in ("theta", "eta", "slope"):
-            # numpy scalars would overflow the observed CV with a RuntimeWarning
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta < 0:
             raise DomainError(f"theta must be >= 0, got {self.theta}")
         if self.eta < 0:
@@ -104,7 +102,8 @@ class ShiftSpec:
     gamma0: float
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma0, force=True)
+        object.__setattr__(self, "gamma0", _check_gamma(self.gamma0, force=True))
+        store_reals(self, "tau", "b", "a")
         for name in ("tau", "b", "a"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -125,8 +124,7 @@ class ShiftSpec:
         """Shift of size tau realized with std multiplier b (default 1, i.e.
         the CV change comes from a mean shift), for a finite b/tau and tau <=
         2^21 b.  Its refusals and the observed CV's are all monotone in tau."""
-        # numpy scalars would overflow b/tau or a with a RuntimeWarning
-        tau, gamma0, b = float(tau), float(gamma0), float(b)
+        tau, gamma0, b = as_real(tau, "tau"), as_real(gamma0, "gamma0"), as_real(b, "b")
         if not tau > 0:
             raise DomainError(f"tau must be positive, got {tau}")
         ratio = b / tau
@@ -141,7 +139,6 @@ class ShiftSpec:
 
     @classmethod
     def from_ab(cls, a: float, b: float, gamma0: float) -> "ShiftSpec":
-        a, b, gamma0 = float(a), float(b), float(gamma0)
         return cls(tau=shift_from_ab(a, b, gamma0), a=a, b=b, gamma0=gamma0)
 
     @classmethod
@@ -155,7 +152,7 @@ class ShiftSpec:
     def check_gamma0(self, gamma0: float) -> None:
         """Refuse a process whose gamma0 is not the one the shift was built
         for: there its (a, b) decomposition realizes another tau."""
-        if not abs(self.gamma0 - gamma0) <= _GAMMA0_MATCH_RTOL * abs(gamma0):
+        if not abs(self.gamma0 - as_real(gamma0, "gamma0")) <= _GAMMA0_MATCH_RTOL * abs(gamma0):
             raise DomainError(
                 f"shift was built for gamma0={self.gamma0}, but the process has gamma0={gamma0}"
             )
@@ -163,13 +160,12 @@ class ShiftSpec:
 
 def shift_from_ab(a: float, b: float, gamma0: float) -> float:
     """tau = b / (1 + a * gamma0), which must be positive and finite."""
-    # numpy scalars would make a*gamma0 NaN or inf with a RuntimeWarning
-    a, b, gamma0 = float(a), float(b), float(gamma0)
+    a, b = as_real(a, "a"), as_real(b, "b")
     if not 0 < b < math.inf:
         raise DomainError(f"b must be positive and finite, got {b}")
     if not math.isfinite(a):
         raise DomainError(f"a must be finite, got {a}")
-    _check_gamma(gamma0, force=True)
+    gamma0 = _check_gamma(gamma0, force=True)
     denom = 1.0 + a * gamma0
     if not denom > 0:
         raise DomainError(f"1 + a*gamma0 must be positive, got {denom}")
@@ -181,13 +177,12 @@ def shift_from_ab(a: float, b: float, gamma0: float) -> float:
 
 def observed_cv_incontrol(gamma0: float, me: MeasurementErrorModel) -> float:
     """In-control CV of the observed (averaged) measurements."""
-    _check_gamma(gamma0, force=True)
-    return _checked_cv(gamma0, 1.0, 1.0, me)
+    return _checked_cv(_check_gamma(gamma0, force=True), 1.0, 1.0, me)
 
 
 def observed_cv_shifted(gamma0: float, shift: ShiftSpec, me: MeasurementErrorModel) -> float:
     """Out-of-control CV of the observed measurements under a shift for gamma0."""
-    _check_gamma(gamma0, force=True)
+    gamma0 = _check_gamma(gamma0, force=True)
     shift.check_gamma0(gamma0)
     return _checked_cv(gamma0, shift.tau, shift.b, me)
 
@@ -211,4 +206,4 @@ def _observed_cv(gamma0: float, tau: float | np.ndarray, b: float, me: Measureme
     """The observed CV at shift tau with std multiplier b, unchecked, at a float
     tau or elementwise over an array of them with the same float operations:
     where an ascending array's end taus pass ``_checked_cv``, every tau does."""
-    return float(gamma0) * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (me.theta + me.slope * b / tau)
+    return gamma0 * math.sqrt(me.slope**2 * b**2 + me.eta**2 / me.reps) / (me.theta + me.slope * b / tau)

@@ -6,7 +6,8 @@ recomputed from mean and std rather than trusted from the file.
 
 A recorded series is held as columns (``PhaseIISeries``), and the domain
 checks run on whole arrays; an int64 or float array costs one dtype
-check, and any other column is checked on the types of its values.
+check, and any other column is checked on the types of its values by
+the one rule of ``errors.py``, as are a record's fields and a limit.
 ``read_phase2_csv`` fills them by one ``np.loadtxt`` call when ``csv``
 would split the file plainly at commas and line ends (it decodes, and
 holds no quote, no NUL, no lone carriage return and no line past
@@ -33,9 +34,7 @@ the flags, the first signal and the run start) and builds no trace.
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import numbers
 import operator
 import warnings
 from collections.abc import Sequence as SequenceABC
@@ -45,7 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .design import ChartDesign
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_real, is_number, store_reals
 from .merror import _SQUARE_MAX
 from .runrules import Direction, RunRule, history_path, rule_automaton
 
@@ -63,23 +62,12 @@ class PhaseIIRecord:
     sample_std: float
 
     def __post_init__(self) -> None:
-        # the reader's int and floats skip the type checks and conversions
+        # the reader's int skips the type check and conversion
         if type(self.index) is not int:
-            if not _admits(numbers.Integral, type(self.index)):
+            if not is_number(type(self.index), True):
                 raise DomainError(f"record index must be an integer, got {self.index!r}")
             object.__setattr__(self, "index", int(self.index))
-        for field in ("sample_mean", "sample_std"):
-            value = getattr(self, field)
-            if type(value) is not float:
-                if not _admits(numbers.Real, type(value)):
-                    raise DomainError(
-                        f"{field.replace('_', ' ')} must be a real number, got {value!r} (record {self.index})"
-                    )
-                try:
-                    value = float(value)
-                except OverflowError:  # an int or fraction past the double range
-                    value = math.inf if value > 0 else -math.inf
-                object.__setattr__(self, field, value)
+        store_reals(self, "sample_mean", "sample_std")
         if self.sample_mean == 0.0 or not math.isfinite(self.sample_mean):
             raise DomainError(f"sample mean must be finite and nonzero (record {self.index})")
         if not 0.0 <= self.sample_std < math.inf:
@@ -98,17 +86,12 @@ class PhaseIIRecord:
         return self.cv**2
 
 
-@functools.lru_cache
-def _admits(kind: type, cls: type) -> bool:
-    """Whether values of type ``cls`` are ``kind`` numbers; a bool never is."""
-    return issubclass(cls, kind) and not issubclass(cls, bool)
-
-
-def _column(values: Sequence, kind: type, dtype: type, name: str) -> np.ndarray:
+def _column(values: Sequence, dtype: type, name: str) -> np.ndarray:
     """``values`` as a read-only one-dimensional array of ``dtype``.
 
     An array of that dtype costs one check.  Anything else is checked type
-    by type: a value that is not a ``kind`` number raises ``DomainError``,
+    by type: a value that is not an integer (int64) or real (float) number
+    raises ``DomainError``,
     and so does a real past the double range.  An integer past int64 keeps
     the column as Python ints.
     """
@@ -117,12 +100,12 @@ def _column(values: Sequence, kind: type, dtype: type, name: str) -> np.ndarray:
         raise DomainError(f"the {name} column must be one-dimensional, got shape {column.shape}")
     if column.dtype == dtype:
         return _frozen(column.copy())
-    items = column.tolist()
+    items, integral = column.tolist(), dtype is not float
     for cls in set(map(type, items)):
-        if not _admits(kind, cls):
+        if not is_number(cls, integral):
             row, value = next((row, value) for row, value in enumerate(items, start=1) if type(value) is cls)
             raise DomainError(
-                f"the {name} column must hold {kind.__name__.lower()} numbers, got {value!r} in row {row}"
+                f"the {name} column must hold {'integral' if integral else 'real'} numbers, got {value!r} in row {row}"
             )
     try:
         return _frozen(np.array(items, dtype=dtype))
@@ -151,9 +134,9 @@ class PhaseIISeries(SequenceABC):
     __slots__ = ("index", "mean", "std", "cv2")
 
     def __init__(self, index: Sequence[int], mean: Sequence[float], std: Sequence[float]) -> None:
-        self.index = _column(index, numbers.Integral, np.int64, "index")
-        self.mean = _column(mean, numbers.Real, float, "mean")
-        self.std = _column(std, numbers.Real, float, "std")
+        self.index = _column(index, np.int64, "index")
+        self.mean = _column(mean, float, "mean")
+        self.std = _column(std, float, "std")
         if not len(self.index) == len(self.mean) == len(self.std):
             raise DomainError("index, mean and std columns differ in length")
         mean, std = self.mean, self.std
@@ -330,9 +313,9 @@ def monitor_values(
 ) -> MonitorTrace:
     """Run the r-of-s rule over plotted values against one control limit.
 
-    A NaN value or a limit that is NaN or infinite raises ``DomainError``.
+    A NaN value or a limit that is not a finite real raises ``DomainError``.
     """
-    rule = RunRule(r, s, direction)
+    rule, limit = RunRule(r, s, direction), as_real(limit, "control limit")
     outside, first_signal, run_start = _chart_signal(values, rule, limit)
     # the history after each sample, frozen at the signal
     before = outside.size if first_signal is None else first_signal - 1

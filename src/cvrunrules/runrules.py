@@ -473,6 +473,8 @@ def _solve(rule: RunRule, ps: Sequence[float], *, with_z: bool) -> tuple[list[fl
     """The checked ps, the ARL at each and, ``with_z``, z/ARL (else the ARL
     again): the forward elimination on one stack, then the ARL from its
     last row, then back substitution and the z pass only if asked for."""
+    if not isinstance(ps, (list, tuple)) and np.ndim(ps) == 0:  # a bare p, or a 0-d array
+        raise DomainError(f"ps must be a sequence or a 1-D array of probabilities, got {ps!r}")
     ps = [as_real(p, "p") for p in ps]
     for p in ps:
         if not 0.0 <= p <= 1.0:

@@ -166,21 +166,22 @@ def _betacf(a: float, b: float, x: float) -> float:
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
-    I_0 = 0 and I_1 = 1 exactly; interior values via the continued
-    fraction on whichever of (a, b) converges fastest, with the prefactor
-    x^a (1 - x)^b / B(a, b) formed without cancellation at large shapes.
+    I_0 = 0 and I_1 = 1 exactly; interior values by the exact kernel's
+    ``_beta_anchor``: within 1e-13 of mpmath at shapes up to 1e4.  Where
+    b exceeds a far more, just past the switch the fraction in 1 - x
+    amplifies the rounding of 1 - x (2.3e-10 at a = 1.5, b = 1e8).
     """
     edge = _inc_beta_edge(x, a, b)
     if edge is not None:
         return edge
-    log_bt = _log_beta_prefactor(a, b, log(x), log1p(-x))
-    return _inc_beta_cf(x, 1.0 - x, a, b, log_bt, x < (a + 1.0) / (a + b + 2.0))
+    return _beta_anchor(a, b, (x, 1.0 - x, log(x), log1p(-x)))[0]
 
 
 def _cdflib_inc_beta(x: float, a: float, b: float) -> float:
-    # reg_inc_beta with the legacy prefactor lgamma(a + b) - lgamma(a) -
-    # lgamma(b), which cancels at large shapes; ``_cumfnc`` keeps it, so
-    # the cdflib profile's bits stay those of the legacy loop.
+    # I_x(a, b) by the legacy switch x < (a + 1) / (a + b + 2) and the
+    # legacy prefactor lgamma(a + b) - lgamma(a) - lgamma(b), which cancels
+    # at large shapes; ``_cumfnc`` keeps both, so the cdflib profile's bits
+    # stay those of the legacy loop.
     edge = _inc_beta_edge(x, a, b)
     if edge is not None:
         return edge

@@ -1,5 +1,6 @@
 """Configuration schema and command-line surface tests."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import cvrunrules
 from cvrunrules import cli, phase2
@@ -21,6 +24,8 @@ from cvrunrules.design import SWEEP_COLUMNS, solve_design
 from cvrunrules.errors import ConfigError
 from cvrunrules.phase2 import monitor_values, read_phase2_csv
 from cvrunrules.runrules import Direction, RunRule
+
+from conftest import EDGE_FLOATS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 EXAMPLE_CONFIG = os.path.join(DATA_DIR, "example_config.json")
@@ -555,6 +560,16 @@ class TestCli:
         assert main(["density", "--gamma0", "0.1", "--points", points]) == 2
         assert "error [usage]: --points must be >= 1" in capsys.readouterr().err
 
+    def test_density_points_capped_before_allocating(self, capsys, monkeypatch):
+        # 10**11 points died in numpy's allocation of 745 GiB (a MemoryError
+        # traceback); one point past the cap is refused before any grid
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        assert main(["density", "--gamma0", "0.1", "--points", str(cli._MAX_POINTS + 1)]) == 2
+        assert f"error [usage]: --points must be >= 1 and <= {cli._MAX_POINTS}, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("x_max", ["inf", "-inf", "nan", "0", "-1", "-0.0"])
     def test_density_x_max_must_be_positive_and_finite(self, x_max, capsys):
         assert main(["density", "--gamma0", "0.1", f"--x-max={x_max}", "--points", "3"]) == 2
@@ -611,3 +626,53 @@ def test_every_format_carries_the_declared_columns(command, argv, columns, fmt, 
     else:
         rows = json.loads(out)
         assert rows and all(list(row) == list(columns) for row in rows)
+
+
+# The numeric options of each command, each drawn from EDGE_FLOATS and two
+# plausible values, or from a small set of integers that starts no large
+# work (at most 10 replications of at most 50 points).
+_FLOAT = hs.sampled_from(EDGE_FLOATS + [0.1, 0.3]).map(repr)
+_CLI_INTS = {
+    "--nodes": [-1, 0, 7, 8, 9, 1025],
+    "--n": [-1, 0, 1, 2, 5],
+    "--points": [-1, 0, 1, 3, cli._MAX_POINTS + 1],
+    "--replications": [-1, 0, 1, 10],
+    "--max-run-length": [-1, 0, 1, 50],
+}
+
+
+def _option(name, required=False):
+    # "--opt=value", so argparse reads a value such as -inf as the option's
+    # argument and not as another option
+    values = _FLOAT if name not in _CLI_INTS else hs.sampled_from(_CLI_INTS[name]).map(str)
+    given_ = values.map(lambda value: [f"{name}={value}"])
+    return given_ if required else hs.one_of(hs.just([]), given_)
+
+
+_OMEGA = hs.tuples(hs.just("--omega"), _FLOAT, _FLOAT).map(list)
+_CLI_ARGV = hs.one_of(
+    hs.tuples(hs.just(["evaluate", "--config", EXAMPLE_CONFIG]), _option("--tau", True), _option("--b")),
+    hs.tuples(hs.just(["earl", "--config", EXAMPLE_CONFIG]), _OMEGA, _option("--nodes")),
+    hs.tuples(hs.just(["sweep", "--config", EXAMPLE_CONFIG]), hs.one_of(_option("--tau", True), _OMEGA),
+              _option("--gamma0"), _option("--n"), _option("--nodes")),
+    hs.tuples(hs.just(["simulate", "--config", EXAMPLE_CONFIG, "--rule", "2,3,upper"]), _option("--tau"),
+              _option("--b"), _option("--replications", True), _option("--max-run-length", True)),
+    hs.tuples(hs.just(["density"]), _option("--gamma0", True), _option("--n"), _option("--x-max"),
+              _option("--points", True)),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=_CLI_ARGV)
+def test_cli_numeric_options_exit_cleanly(argv):
+    # every numeric option, in range or not, ends in a documented exit code
+    # (argparse's own usage exit is 2) with one line of error and no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC, cli.EXIT_INFEASIBLE), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == cli.EXIT_OK) == (err.getvalue() == ""), (argv, err.getvalue())

@@ -16,11 +16,12 @@ from hypothesis import strategies as hs
 
 import cvrunrules
 from cvrunrules import merror
-from cvrunrules.cvdist import ProcessModel
+from cvrunrules.cvdist import Cv2Moments, ProcessModel
 from cvrunrules.design import (
     DEFAULT_ARL0,
     DECREASING_SHIFTS,
     INCREASING_SHIFTS,
+    ChartDesign,
     ShiftRange,
     _gauss_legendre,
     arl_at_shift,
@@ -29,7 +30,9 @@ from cvrunrules.design import (
     sweep,
 )
 from cvrunrules.errors import CvRunRulesError, DomainError, GammaDomainError, UnattainableDesignError
+from cvrunrules.mcsim import simulate_subgroups
 from cvrunrules.merror import MeasurementErrorModel, ShiftSpec
+from cvrunrules.phase2 import monitor_values
 from cvrunrules.runrules import Direction, RunRule
 
 from conftest import EDGE_FLOATS
@@ -464,7 +467,9 @@ class TestEarl:
             arl_at_shift(d, pm, me, ShiftSpec.from_tau(half * xi + mid, gamma0), profile=profile).arl for xi in x
         ]
         expected = float(np.dot(w, arls)) * half / (shift_range.hi - shift_range.lo)
-        assert earl(d, pm, me, shift_range, profile=profile) == pytest.approx(expected, rel=1e-12)
+        value = earl(d, pm, me, shift_range, profile=profile)
+        assert type(value) is float  # like every other public metric, not an np.float64
+        assert value == pytest.approx(expected, rel=1e-12)
 
     def test_node_count_capped_before_leggauss(self, monkeypatch):
         # leggauss's companion matrix is nodes x nodes: 10**8 nodes would ask
@@ -757,6 +762,80 @@ def _property_chart(direction, with_me):
     pm = ProcessModel(0.1, 5)
     me = MeasurementErrorModel(theta=0.05, eta=0.28) if with_me else None
     return pm, me, solve_design(rule(2, 3, direction), pm, me)
+
+
+@functools.cache
+def _upper_chart():
+    pm = ProcessModel(0.1, 5)
+    return solve_design(rule(2, 3, "upper"), pm), pm
+
+
+def _fields(obj, *names):
+    return tuple(getattr(obj, name) for name in names)
+
+
+def _real_case(case_id, name, good, call):
+    # call(value) returns the floats the value reaches; good is a double
+    # that a float32 holds exactly
+    return pytest.param(call, name, good, id=case_id)
+
+
+_GAMMA0 = float(np.float32(0.1))
+_SHIFT_FIELDS = ("tau", "a", "b", "gamma0")
+_MOMENTS = Cv2Moments(0.5, 0.25)  # k = 2 puts an upper limit at 1.0
+
+# Every public real argument that errors.as_real reads (directly or through
+# cvdist._check_gamma, whose messages name it "gamma")
+REAL_ARGUMENTS = [
+    *(
+        _real_case(f"MeasurementErrorModel-{field}", field, good,
+                   lambda v, field=field: _fields(MeasurementErrorModel(**{field: v}), "theta", "eta", "slope"))
+        for field, good in (("theta", 0.125), ("eta", 0.25), ("slope", 1.5))
+    ),
+    *(
+        _real_case(f"ShiftSpec-{field}", "gamma" if field == "gamma0" else field, good,
+                   lambda v, field=field: _fields(
+                       ShiftSpec(**{"tau": 1.0, "a": 0.0, "b": 1.0, "gamma0": 0.125, field: v}), *_SHIFT_FIELDS))
+        for field, good in (("tau", 1.0), ("a", 0.0), ("b", 1.0), ("gamma0", 0.125))
+    ),
+    _real_case("from_tau-tau", "tau", 2.0, lambda v: _fields(ShiftSpec.from_tau(v, 0.125), *_SHIFT_FIELDS)),
+    _real_case("from_tau-gamma0", "gamma0", 0.125, lambda v: _fields(ShiftSpec.from_tau(2.0, v), *_SHIFT_FIELDS)),
+    _real_case("from_tau-b", "b", 1.5, lambda v: _fields(ShiftSpec.from_tau(2.0, 0.125, b=v), *_SHIFT_FIELDS)),
+    _real_case("from_ab-a", "a", 0.5, lambda v: _fields(ShiftSpec.from_ab(v, 1.0, 0.125), *_SHIFT_FIELDS)),
+    _real_case("from_ab-b", "b", 1.5, lambda v: _fields(ShiftSpec.from_ab(0.5, v, 0.125), *_SHIFT_FIELDS)),
+    _real_case("from_ab-gamma0", "gamma", 0.125, lambda v: _fields(ShiftSpec.from_ab(0.5, 1.0, v), *_SHIFT_FIELDS)),
+    _real_case("check_gamma0-gamma0", "gamma0", 0.125, lambda v: ShiftSpec.in_control(0.125).check_gamma0(v) or ()),
+    _real_case("shift_from_ab-a", "a", 0.5, lambda v: (merror.shift_from_ab(v, 1.0, 0.125),)),
+    _real_case("shift_from_ab-b", "b", 1.5, lambda v: (merror.shift_from_ab(0.5, v, 0.125),)),
+    _real_case("shift_from_ab-gamma0", "gamma", 0.125, lambda v: (merror.shift_from_ab(0.5, 1.0, v),)),
+    *(
+        _real_case(f"ChartDesign-{field}", field.replace("_", " "), good,
+                   lambda v, field=field: _fields(
+                       ChartDesign(**{"rule": rule(2, 3, "upper"), "k": 2.0, "limit": 1.0, "arl0_target": 256.0,
+                                      "moments": _MOMENTS, field: v}),
+                       "k", "limit", "arl0_target"))
+        for field, good in (("k", 2.0), ("limit", 1.0), ("arl0_target", 256.0))
+    ),
+    _real_case("ShiftRange-lo", "lo", 0.5, lambda v: _fields(ShiftRange(v, 2.0), "lo", "hi")),
+    _real_case("ShiftRange-hi", "hi", 2.0, lambda v: _fields(ShiftRange(0.5, v), "lo", "hi")),
+    _real_case("solve_design-arl0", "arl0", 256.0,
+               lambda v: _fields(solve_design(rule(2, 3, "upper"), ProcessModel(0.1, 5), arl0=v),
+                                 "k", "limit", "arl0_target")),
+    _real_case("earl-b", "b", 1.0, lambda v: (earl(*_upper_chart(), None, INCREASING_SHIFTS, b=v),)),
+    _real_case("sweep-tau", "tau", 1.5,
+               lambda v: tuple(sweep([rule(2, 3, "upper")], {"tau": [v]})[0][c] for c in ("tau", "arl", "sdrl"))),
+    _real_case("ProcessModel-gamma0", "gamma", 0.125, lambda v: (ProcessModel(v, 5).gamma0,)),
+    _real_case("Cv2Moments-mean", "mean", 0.5, lambda v: _fields(Cv2Moments(v, 0.25), "mean", "std")),
+    _real_case("Cv2Moments-std", "std", 0.25, lambda v: _fields(Cv2Moments(0.5, v), "mean", "std")),
+    _real_case(
+        "simulate_subgroups-gamma0", "gamma", _GAMMA0,
+        lambda v: tuple(simulate_subgroups(
+            3, 5, v, ShiftSpec.in_control(_GAMMA0), MeasurementErrorModel(), np.random.default_rng(1)
+        ).tolist()),
+    ),
+    _real_case("monitor_values-limit", "control limit", 0.125,
+               lambda v: (monitor_values([0.1, 0.2, 0.3], 2, 3, Direction.UPPER, v).limit,)),
+]
 
 
 class TestTypedFailures:
@@ -1052,6 +1131,40 @@ class TestTypedFailures:
             cvrunrules.cv2_pdf(0.1, 5, big, force=True)
         with pytest.raises(DomainError, match=r"p must lie in \[0, 1\], got inf"):
             cvrunrules.run_length_metrics(rule(2, 3, "upper"), [big])
+        with pytest.raises(DomainError, match="^theta must be finite, got inf$"):
+            MeasurementErrorModel(theta=big)
+        with pytest.raises(DomainError, match="^tau must be finite, got inf$"):
+            ShiftSpec.from_tau(big, 0.1)
+
+    @pytest.mark.parametrize("chain", ["run_length_metrics", "_arls"])
+    @pytest.mark.parametrize("ps", [0.5, np.array(0.5)], ids=["float", "0-d-array"])
+    def test_bare_p_refused(self, chain, ps):
+        # iterating a bare p raised a bare TypeError
+        from cvrunrules import runrules
+
+        with pytest.raises(DomainError, match="^ps must be a sequence or a 1-D array of probabilities, got "):
+            getattr(runrules, chain)(rule(2, 3, "upper"), ps)
+
+    @pytest.mark.parametrize("call, name, good", REAL_ARGUMENTS)
+    def test_real_arguments(self, call, name, good):
+        # Each public real argument is read by errors.as_real: a string, a
+        # bool, None, a complex or a Decimal is refused with the argument's
+        # name (float() parsed some and others raised a bare TypeError), and
+        # a float32 or a Fraction gives the answer at the double it equals,
+        # kept as a float.
+        from decimal import Decimal
+        from fractions import Fraction
+
+        for bad in ("0.1", True, np.True_, None, 1j, Decimal("0.1")):
+            with pytest.raises(DomainError, match=f"^{name} must be a real number, got "):
+                call(bad)
+        expected = call(good)
+        assert np.float32(good) == good
+        for same in (np.float32(good), Fraction(good)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = call(same)
+            assert got == expected and all(type(value) is float for value in got)
 
     def test_unknown_direction_refused(self):
         for call in (

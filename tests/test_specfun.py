@@ -203,12 +203,40 @@ class TestRegIncBeta:
 
     @pytest.mark.parametrize(
         "x,a,b,expected",
-        [(1e-17, 1.5, 1e17, 0.42759329552912019881), (1e-320, 1e-320, 1e300, 1.0)],
+        [
+            (1e-17, 1.5, 1e17, 0.42759329552912019881),
+            (1e-320, 1e-320, 1e300, 1.0),
+            (3e-8, 1.5, 1e8, 0.88838978001376559698),
+        ],
     )
     def test_large_shapes(self, x, a, b, expected):
         # 40-digit mpmath betainc; lgamma(a + b) - lgamma(a) - lgamma(b)
-        # cancelled to 1.2e-26 and to inf at these points
+        # cancelled to 1.2e-26 and to inf at the first two points.  At the
+        # third, the switch at (a + 1) / (a + b + 2) = 2.5e-8 sent x to the
+        # fraction in 1 - x, which amplified the rounding of 1 - x to 6.7e-10.
         assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=KERNEL_ATOL)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(0.5, 2.0), (2.5, 4.0), (20.0, 3.0), (1.5, 1e3), (50.0, 50.0), (200.0, 10.0), (0.5, 1e4), (1e4, 0.5),
+         (300.0, 700.0)],
+    )
+    def test_across_the_switch_points(self, a, b):
+        # 40-digit mpmath betainc just before and after each switch point
+        # between the two continued fractions: the legacy (a + 1) / (a + b +
+        # 2), and the exact kernel's, one beta standard deviation past it on
+        # the side of u and on the side of v = 1 - u
+        import mpmath
+
+        switches = (
+            (a + 1.0) / (a + b + 2.0),
+            (a + 1.0 + math.sqrt(a + 1.0)) / (a + b + 2.0),
+            1.0 - (b + 1.0 + math.sqrt(b + 1.0)) / (a + b + 2.0),
+        )
+        for x in [x0 * f for x0 in switches for f in (0.9, 0.999, 1.001, 1.1) if 0.0 < x0 * f < 1.0]:
+            with mpmath.workdps(40):
+                expected = float(mpmath.betainc(a, b, 0, x, regularized=True))
+            assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=KERNEL_ATOL), x
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
